@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.experiments.campaign import run_campaign
 from repro.experiments.config import ExperimentConfig, ExperimentScale
-from repro.obs import Tracer
+from repro.obs import Instrumentation, Tracer
 from repro.scenarios.scenario import (
     build_scenario_metatasks,
     get_scenario,
@@ -66,7 +66,9 @@ def bench_trace_on_campaign(benchmark):
     baseline = run_campaign(**_campaign_kwargs())
 
     def run():
-        return run_campaign(**_campaign_kwargs(), trace=True)
+        return run_campaign(
+            **_campaign_kwargs(), instrumentation=Instrumentation(trace=True)
+        )
 
     traced = benchmark.pedantic(run, rounds=3, iterations=1)
     # Tracing is observation only: same records, same table.

@@ -21,20 +21,12 @@ versions:
   the programmatic form of ``repro results diff``.
 * :func:`check` — the static determinism & contract linter
   (:mod:`repro.analysis`): the programmatic form of ``repro check``.
-* :func:`profile` / :func:`trace` — the observability subsystem
-  (:mod:`repro.obs`): phase timers, hot-path counters and optional
-  ``cProfile`` for one scenario campaign, or a virtual-time event trace
-  exported as JSONL / Chrome ``trace_event``.  The programmatic forms of
-  ``repro profile run`` and ``repro profile trace``.
-* :func:`metrics` — fixed-interval virtual-time metric series for one
-  scenario campaign, exported as byte-stable JSONL (plus optional CSV and
-  Chrome counter tracks).  The programmatic form of ``repro metrics
-  record``; render with :mod:`repro.obs` dashboard helpers or ``repro
-  metrics show|plot``.
-* :func:`bench` — measure a named benchmark suite into a
-  :class:`~repro.bench.BenchReport` and optionally gate it against a
-  baseline (:func:`repro.bench.compare_reports`).  The programmatic form
-  of ``repro bench run``.
+* :func:`profile` — the observability subsystem (:mod:`repro.obs`) in one
+  instrumented run: phase timers, hot-path counters and optional
+  ``cProfile`` for one scenario campaign, plus (on request) its
+  virtual-time event trace and metric series, exported as JSONL / CSV /
+  Chrome ``trace_event``.  The programmatic form of ``repro profile``;
+  render metric files with ``repro metrics show|plot``.
 
 Quickstart::
 
@@ -68,9 +60,6 @@ __all__ = [
     "validate",
     "check",
     "profile",
-    "trace",
-    "metrics",
-    "bench",
     "load_results",
     "save_results",
     "compare",
@@ -79,6 +68,9 @@ __all__ = [
 #: Things accepted wherever a result set is expected: the set itself, a
 #: result object carrying one, or a path to a saved file.
 ResultsLike = Union[ResultSet, str, "os.PathLike[str]", Any]
+
+#: A filesystem path, as a string or any ``os.PathLike``.
+PathLike = Union[str, "os.PathLike[str]"]
 
 #: Things accepted wherever a campaign store is expected: an open store or
 #: the path of its directory (created on first use).
@@ -289,9 +281,16 @@ def profile(
     heuristics: Optional[Sequence[str]] = None,
     seed: int = 2003,
     jobs: int = 1,
+    json_path: Optional[PathLike] = None,
     cprofile: bool = False,
     top: int = 20,
-    json_path: Optional[Union[str, "os.PathLike[str]"]] = None,
+    trace_path: Optional[PathLike] = None,
+    limit: Optional[int] = None,
+    metrics_path: Optional[PathLike] = None,
+    csv_path: Optional[PathLike] = None,
+    interval: Optional[float] = None,
+    window: Optional[float] = None,
+    chrome_path: Optional[PathLike] = None,
 ):
     """Profile one scenario campaign and return its
     :class:`~repro.obs.PerfReport`.
@@ -304,13 +303,60 @@ def profile(
     events, agent traffic, HTM activity).  ``cprofile=True`` additionally
     wraps the simulate phase in :mod:`cProfile` and reports the ``top``
     functions by cumulative time (forced off when ``jobs > 1``).
-    ``json_path`` writes the machine-readable ``perf-report.json`` (the CI
-    profile-smoke artifact).  Wall-clock numbers vary run to run; the
-    records underneath stay deterministic.  The shell form is
-    ``repro profile run``.
-    """
-    from .obs.profile import profile_scenario  # deferred: keeps `import repro.api` light
+    ``json_path`` writes the machine-readable ``perf-report.json``.
 
+    The same run can be instrumented, and each output path turns on what it
+    needs:
+
+    * ``trace_path`` traces every cell and writes one JSONL line per
+      virtual-time event — task lifecycle, dispatch decisions with
+      per-candidate scores and report staleness, monitor reports, fault
+      windows, HTM predictions.  ``limit`` bounds each cell's event ring
+      (dropped events are counted in a marker line, never silent).
+    * ``metrics_path`` / ``csv_path`` sample every cell each ``interval``
+      virtual seconds (default 60; ``window`` sets the sliding window of the
+      windowed throughput / latency columns, default 5× the interval) and
+      write the series as versioned JSONL / long-format CSV.
+    * ``chrome_path`` writes the Chrome ``trace_event`` export of whatever
+      was recorded: event lanes, counter tracks, or both under one process
+      per cell (open in ``chrome://tracing`` or ui.perfetto.dev).
+
+    Traces and series carry virtual time only, so their files are
+    byte-identical at any ``jobs`` level and the run's records equal an
+    uninstrumented run's; only the wall-clock numbers of the report vary
+    run to run.  The report carries the cell traces and series on
+    ``traces`` / ``metrics``.  The shell form is ``repro profile``.
+    """
+    from .obs import (  # deferred: keeps `import repro.api` light
+        Instrumentation,
+        write_chrome_trace,
+        write_metrics_csv,
+        write_metrics_jsonl,
+        write_trace_jsonl,
+    )
+    from .obs.metrics import DEFAULT_INTERVAL_S
+    from .obs.profile import profile_scenario
+
+    trace = trace_path is not None
+    metrics = metrics_path is not None or csv_path is not None
+    if limit is not None and not trace:
+        raise ExperimentError("a trace limit needs a trace output (--trace)")
+    if (interval is not None or window is not None) and not metrics:
+        raise ExperimentError(
+            "a metrics interval or window needs a metrics output (--metrics or --csv)"
+        )
+    if chrome_path is not None and not (trace or metrics):
+        raise ExperimentError(
+            "the Chrome export needs a trace or metrics output (--trace, --metrics or --csv)"
+        )
+    instrumentation = Instrumentation(
+        trace=trace,
+        trace_limit=limit,
+        metrics_interval=(
+            (DEFAULT_INTERVAL_S if interval is None else interval) if metrics else None
+        ),
+        metrics_window=window,
+    )
     report = profile_scenario(
         scenario,
         tasks=tasks,
@@ -319,138 +365,22 @@ def profile(
         heuristics=heuristics,
         seed=seed,
         jobs=jobs,
-        profile=cprofile,
+        instrumentation=instrumentation,
+        cprofile=cprofile,
         top=top,
     )
     if json_path is not None:
-        report.save_json(json_path)
-    return report
-
-
-def trace(
-    scenario: str,
-    out: Union[str, "os.PathLike[str]"],
-    *,
-    chrome_out: Optional[Union[str, "os.PathLike[str]"]] = None,
-    tasks: Optional[int] = None,
-    metatasks: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    heuristics: Optional[Sequence[str]] = None,
-    seed: int = 2003,
-    jobs: int = 1,
-    limit: Optional[int] = None,
-):
-    """Trace one scenario campaign and write the virtual-time event files.
-
-    Runs ``scenario`` with the :mod:`repro.obs` trace bus enabled and writes
-    one JSONL line per event to ``out`` — task lifecycle, dispatch decisions
-    with per-candidate heuristic scores and report staleness, monitor
-    reports, fault windows, HTM predictions.  Timestamps are virtual
-    simulation seconds, so the file is a deterministic function of the
-    campaign plan: byte-identical at any ``jobs`` level.  ``chrome_out``
-    additionally writes the Chrome ``trace_event`` export (open in
-    ``chrome://tracing`` or ui.perfetto.dev); ``limit`` bounds the per-cell
-    event ring.  Returns the :class:`~repro.obs.profile.TraceRunResult`.
-    The shell form is ``repro profile trace``.
-    """
-    from .obs.profile import trace_scenario  # deferred: keeps `import repro.api` light
-
-    return trace_scenario(
-        scenario,
-        out=os.fspath(out),
-        chrome_out=None if chrome_out is None else os.fspath(chrome_out),
-        tasks=tasks,
-        metatasks=metatasks,
-        repetitions=repetitions,
-        heuristics=heuristics,
-        seed=seed,
-        jobs=jobs,
-        limit=limit,
-    )
-
-
-def metrics(
-    scenario: str,
-    out: Union[str, "os.PathLike[str]"],
-    *,
-    csv_out: Optional[Union[str, "os.PathLike[str]"]] = None,
-    chrome_out: Optional[Union[str, "os.PathLike[str]"]] = None,
-    tasks: Optional[int] = None,
-    metatasks: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    heuristics: Optional[Sequence[str]] = None,
-    seed: int = 2003,
-    jobs: int = 1,
-    interval: Optional[float] = None,
-    window: Optional[float] = None,
-):
-    """Record one scenario campaign's virtual-time metric series.
-
-    Runs ``scenario`` with the :mod:`repro.obs` metrics sampler attached —
-    every ``interval`` virtual seconds (default 60) each cell samples queue
-    depth and utilization per server, in-flight tasks, cumulative
-    completions / failures, mean report staleness, HTM backlog and sliding-
-    window throughput / latency (``window`` defaults to 5× the interval) —
-    and writes the series as versioned JSONL to ``out``.  Sampling reads
-    simulation state without touching it, so the run's records equal an
-    unsampled run's and the JSONL is byte-identical at any ``jobs`` level.
-    ``csv_out`` adds a long-format CSV; ``chrome_out`` adds a Chrome
-    ``trace_event`` export with the samples as counter tracks.  Returns the
-    :class:`~repro.obs.profile.MetricsRunResult`.  The shell form is
-    ``repro metrics record``; render files with ``repro metrics show|plot``.
-    """
-    from .obs.profile import metrics_scenario  # deferred: keeps `import repro.api` light
-
-    return metrics_scenario(
-        scenario,
-        out=os.fspath(out),
-        csv_out=None if csv_out is None else os.fspath(csv_out),
-        chrome_out=None if chrome_out is None else os.fspath(chrome_out),
-        tasks=tasks,
-        metatasks=metatasks,
-        repetitions=repetitions,
-        heuristics=heuristics,
-        seed=seed,
-        jobs=jobs,
-        interval=interval,
-        window=window,
-    )
-
-
-def bench(
-    suite: str = "default",
-    *,
-    cases: Optional[Sequence[str]] = None,
-    seed: int = 2003,
-    jobs: int = 1,
-    json_path: Optional[Union[str, "os.PathLike[str]"]] = None,
-):
-    """Measure a named benchmark suite and return its
-    :class:`~repro.bench.BenchReport`.
-
-    Runs every case of ``suite`` (``"default"`` or ``"smoke"``; ``cases``
-    restricts to a subset by name) through the profiling harness and
-    collects wall seconds, phase splits, task throughput and the
-    deterministic hot-path counters per case.  ``json_path`` writes the
-    ``bench-report/v1`` JSON.  Gate against a baseline with
-    :func:`repro.bench.compare_reports`, or from the shell with
-    ``repro bench compare`` (exit 1 on regression — the CI gate).
-    """
-    from .bench import get_suite, run_suite  # deferred: keeps `import repro.api` light
-
-    selected = get_suite(suite)
-    if cases:
-        by_name = {case.name: case for case in selected}
-        unknown = [name for name in cases if name not in by_name]
-        if unknown:
-            raise ExperimentError(
-                f"unknown case(s) {unknown} in suite {suite!r} "
-                f"(has: {sorted(by_name)})"
-            )
-        selected = tuple(by_name[name] for name in cases)
-    report = run_suite(selected, suite=suite, seed=seed, jobs=jobs)
-    if json_path is not None:
         report.save_json(os.fspath(json_path))
+    if trace_path is not None:
+        write_trace_jsonl(os.fspath(trace_path), report.traces)
+    if metrics_path is not None:
+        write_metrics_jsonl(os.fspath(metrics_path), report.metrics)
+    if csv_path is not None:
+        write_metrics_csv(os.fspath(csv_path), report.metrics)
+    if chrome_path is not None:
+        write_chrome_trace(
+            os.fspath(chrome_path), report.traces, cell_metrics=report.metrics
+        )
     return report
 
 

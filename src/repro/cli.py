@@ -49,30 +49,21 @@ no active finding)::
     repro check --update-baseline
 
 The profiling harness (:mod:`repro.obs`) wraps any registry scenario in
-wall-clock phase timers and fluid-core counters, or records a virtual-time
-event trace that opens in chrome://tracing / Perfetto::
+wall-clock phase timers and hot-path counters; the same run can record a
+virtual-time event trace and fixed-interval metric series (queue depths,
+utilization, in-flight tasks, windowed throughput/latency), exported as
+JSONL / CSV and one Chrome trace that opens in chrome://tracing / Perfetto.
+The offline dashboards render metric files as TTY sparklines or a
+single-file HTML report::
 
-    repro profile run diurnal-week --tasks 5000
-    repro profile run diurnal-week --tasks 5000 --profile --json perf-report.json
-    repro profile trace diurnal-week --out trace.jsonl --chrome trace-chrome.json
-
-The metrics sampler records fixed-interval virtual-time series (queue
-depths, utilization, in-flight tasks, windowed throughput/latency) and the
-offline dashboards render them — TTY sparklines or a single-file HTML
-report::
-
-    repro metrics record diurnal-week --tasks 500 --out metrics.jsonl
+    repro profile diurnal-week --tasks 5000 --cprofile --json perf-report.json
+    repro profile diurnal-week --tasks 200 --trace trace.jsonl \
+        --metrics metrics.jsonl --chrome trace-chrome.json
     repro metrics show metrics.jsonl --columns inflight,throughput_w
     repro metrics plot metrics.jsonl --out metrics-report.html
 
-The bench harness (:mod:`repro.bench`) measures named suites and gates
-regressions against a committed baseline (exit 1 on regression — the CI
-gate)::
-
-    repro bench run --suite smoke
-    repro bench run --json bench-report.json --history runs/bench
-    repro bench compare benchmarks/bench-baseline.json bench-report.json
-    repro bench history runs/bench
+The repository's end-to-end benchmark lives outside the package
+(``BENCHMARK.json``, ``benchmarks/e2e/``).
 
 The ``--scale`` option trades fidelity for speed: ``full`` is the paper's
 500-task protocol, ``bench`` the benchmark harness size, ``smoke`` a few
@@ -108,7 +99,6 @@ __all__ = [
     "build_validate_parser",
     "build_profile_parser",
     "build_metrics_parser",
-    "build_bench_parser",
     "main",
 ]
 
@@ -349,7 +339,18 @@ def build_check_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_profile_size_options(parser: argparse.ArgumentParser) -> None:
+def build_profile_parser() -> argparse.ArgumentParser:
+    """Build the parser of the ``repro profile`` command."""
+    parser = argparse.ArgumentParser(
+        prog="repro profile",
+        description="Profile one scenario campaign (see repro.obs): wall-clock "
+        "phase timers and hot-path counters, optionally a virtual-time event "
+        "trace and metric series of the same run.  Trace, series and "
+        "counters derive from virtual time and cell coordinates only — "
+        "byte-identical at any --jobs level, and the run's records equal an "
+        "uninstrumented run's; wall-clock numbers appear exclusively in the "
+        "perf report.",
+    )
     parser.add_argument(
         "scenario", help="scenario name (see 'repro scenario list'), e.g. diurnal-week"
     )
@@ -379,71 +380,71 @@ def _add_profile_size_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes (default: 1); counters and traces are "
+        help="worker processes (default: 1); counters, traces and series are "
         "identical at any level",
     )
-
-
-def build_profile_parser() -> argparse.ArgumentParser:
-    """Build the parser of the ``repro profile`` subcommand family."""
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
-        description="Profile or trace one scenario campaign (see repro.obs): "
-        "'run' wraps it in wall-clock phase timers and hot-path counters, "
-        "'trace' records the virtual-time event trace.  Trace and counter "
-        "content derive from virtual time and cell coordinates only — "
-        "byte-identical at any --jobs level; wall-clock numbers appear "
-        "exclusively in the perf report.",
+    parser.add_argument(
+        "--json",
+        metavar="FILE",
+        help="additionally write the perf-report/v1 JSON to FILE "
+        "(the CI artifact)",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    run_parser = commands.add_parser(
-        "run", help="run under phase timers + counters and print the perf report"
-    )
-    _add_profile_size_options(run_parser)
-    run_parser.add_argument(
-        "--profile",
+    parser.add_argument(
+        "--cprofile",
         action="store_true",
         help="additionally cProfile the simulate phase (forced off when "
         "--jobs > 1: a parent-process profile of a worker pool would time "
         "pickling, not simulation)",
     )
-    run_parser.add_argument(
+    parser.add_argument(
         "--top",
         type=int,
         default=20,
         metavar="N",
         help="functions kept from the cProfile ranking (default: 20)",
     )
-    run_parser.add_argument(
-        "--json",
+    parser.add_argument(
+        "--trace",
         metavar="FILE",
-        help="additionally write the perf-report/v1 JSON to FILE "
-        "(the CI artifact)",
+        help="trace every cell and write the JSONL event trace to FILE",
     )
-
-    trace_parser = commands.add_parser(
-        "trace", help="run with the trace bus on and write the JSONL trace"
-    )
-    _add_profile_size_options(trace_parser)
-    trace_parser.add_argument(
-        "--out",
-        metavar="FILE",
-        default="trace.jsonl",
-        help="JSONL trace output path (default: trace.jsonl)",
-    )
-    trace_parser.add_argument(
-        "--chrome",
-        metavar="FILE",
-        help="additionally write the Chrome trace_event export (open in "
-        "chrome://tracing or ui.perfetto.dev)",
-    )
-    trace_parser.add_argument(
+    parser.add_argument(
         "--limit",
         type=int,
         metavar="N",
         help="bound each cell's event ring to N events (default: unbounded); "
         "truncation is surfaced, never silent",
+    )
+    parser.add_argument(
+        "--metrics",
+        metavar="FILE",
+        help="sample every cell and write the metrics/v1 JSONL series to FILE",
+    )
+    parser.add_argument(
+        "--csv",
+        metavar="FILE",
+        help="sample every cell and write a long-format CSV to FILE "
+        "(spreadsheet tooling)",
+    )
+    parser.add_argument(
+        "--interval",
+        type=float,
+        metavar="S",
+        help="sampling interval in virtual seconds (default: 60)",
+    )
+    parser.add_argument(
+        "--window",
+        type=float,
+        metavar="S",
+        help="sliding window of the windowed throughput/latency columns, "
+        "virtual seconds (default: 5x the interval)",
+    )
+    parser.add_argument(
+        "--chrome",
+        metavar="FILE",
+        help="write a Chrome trace_event export of the trace and/or the "
+        "samples as counter tracks, one process per cell (open in "
+        "chrome://tracing or ui.perfetto.dev)",
     )
     return parser
 
@@ -452,56 +453,18 @@ def build_metrics_parser() -> argparse.ArgumentParser:
     """Build the parser of the ``repro metrics`` subcommand family."""
     parser = argparse.ArgumentParser(
         prog="repro metrics",
-        description="Record and render virtual-time metric series (see "
-        "repro.obs): 'record' samples a scenario campaign at a fixed "
-        "virtual-time interval into byte-stable JSONL, 'show' renders TTY "
-        "sparklines, 'plot' writes a single-file HTML report.  Series "
-        "content derives from virtual time and simulation state only — "
-        "byte-identical at any --jobs level, and sampling never changes "
-        "the run's records.",
+        description="Render virtual-time metric series recorded with "
+        "'repro profile <scenario> --metrics FILE' (see repro.obs): 'show' "
+        "renders TTY sparklines, 'plot' writes a single-file HTML report.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    record_parser = commands.add_parser(
-        "record", help="run one scenario with the sampler on and write the series"
-    )
-    _add_profile_size_options(record_parser)
-    record_parser.add_argument(
-        "--out",
-        metavar="FILE",
-        default="metrics.jsonl",
-        help="JSONL series output path (default: metrics.jsonl)",
-    )
-    record_parser.add_argument(
-        "--csv",
-        metavar="FILE",
-        help="additionally write a long-format CSV (spreadsheet tooling)",
-    )
-    record_parser.add_argument(
-        "--chrome",
-        metavar="FILE",
-        help="additionally write a Chrome trace_event export with the "
-        "samples as counter tracks (open in chrome://tracing or "
-        "ui.perfetto.dev)",
-    )
-    record_parser.add_argument(
-        "--interval",
-        type=float,
-        metavar="S",
-        help="sampling interval in virtual seconds (default: 60)",
-    )
-    record_parser.add_argument(
-        "--window",
-        type=float,
-        metavar="S",
-        help="sliding window of the windowed throughput/latency columns, "
-        "virtual seconds (default: 5x the interval)",
-    )
 
     show_parser = commands.add_parser(
         "show", help="render a recorded series as TTY sparklines"
     )
-    show_parser.add_argument("file", help="a metrics .jsonl written by 'record'")
+    show_parser.add_argument(
+        "file", help="a metrics .jsonl written by 'repro profile --metrics'"
+    )
     show_parser.add_argument(
         "--columns",
         metavar="A,B,...",
@@ -538,108 +501,6 @@ def build_metrics_parser() -> argparse.ArgumentParser:
     )
     plot_parser.add_argument(
         "--title", default="repro metrics", help="report title"
-    )
-    return parser
-
-
-def build_bench_parser() -> argparse.ArgumentParser:
-    """Build the parser of the ``repro bench`` subcommand family."""
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Benchmark suites and regression gating (see repro.bench): "
-        "'run' measures a named suite into a bench-report/v1 JSON, 'compare' "
-        "diffs two reports under regression thresholds and exits 1 on "
-        "regression (the CI gate), 'history' shows per-case wall-time "
-        "trends over an archive directory.  Wall seconds are only "
-        "comparable on similar hardware; counters are exact everywhere.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    def add_gate_options(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--max-slowdown",
-            type=float,
-            default=0.20,
-            metavar="X",
-            help="wall-time regression budget as a fraction "
-            "(default: 0.20 = +20%%)",
-        )
-        sub.add_argument(
-            "--counter-tolerance",
-            type=float,
-            default=0.10,
-            metavar="X",
-            help="deterministic-counter growth budget as a fraction "
-            "(default: 0.10 = +10%%)",
-        )
-        sub.add_argument(
-            "--no-wall-gate",
-            action="store_true",
-            help="report wall-time changes but never fail on them (use when "
-            "baseline and current ran on different hardware — CI does)",
-        )
-        sub.add_argument(
-            "--no-counter-gate",
-            action="store_true",
-            help="report counter growth but never fail on it",
-        )
-
-    run_parser = commands.add_parser(
-        "run", help="measure a suite and print/save the bench report"
-    )
-    run_parser.add_argument(
-        "--suite",
-        default="default",
-        help="suite name: default or smoke (default: default)",
-    )
-    run_parser.add_argument(
-        "--cases",
-        metavar="A,B,...",
-        help="comma-separated case names to run (default: the whole suite)",
-    )
-    run_parser.add_argument(
-        "--seed", type=int, default=2003, help="root random seed (default: 2003)"
-    )
-    run_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (default: 1); counters are identical at any "
-        "level, wall times are not — compare like with like",
-    )
-    run_parser.add_argument(
-        "--json",
-        metavar="FILE",
-        help="additionally write the bench-report/v1 JSON to FILE",
-    )
-    run_parser.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        help="after the run, diff against this baseline report and exit 1 "
-        "on regression",
-    )
-    run_parser.add_argument(
-        "--history",
-        metavar="DIR",
-        help="additionally archive the report as the next bench-NNNN.json "
-        "in DIR (inspect with 'repro bench history DIR')",
-    )
-    add_gate_options(run_parser)
-
-    compare_parser = commands.add_parser(
-        "compare",
-        help="diff two bench reports; exit 1 on regression (the CI gate)",
-    )
-    compare_parser.add_argument("baseline", help="the baseline bench-report JSON")
-    compare_parser.add_argument("current", help="the candidate bench-report JSON")
-    add_gate_options(compare_parser)
-
-    history_parser = commands.add_parser(
-        "history", help="per-case wall-time trends over an archive directory"
-    )
-    history_parser.add_argument(
-        "directory", help="archive directory fed by 'repro bench run --history'"
     )
     return parser
 
@@ -761,17 +622,10 @@ def _list_experiments() -> str:
     )
     lines.append("analytical validation: 'repro validate [--quick] [--json FILE]'")
     lines.append(
-        "profiling & tracing: 'repro profile run <scenario> [--tasks N]' / "
-        "'repro profile trace <scenario> --out trace.jsonl'"
+        "profiling, tracing & metric series: 'repro profile <scenario> "
+        "[--tasks N] [--trace FILE] [--metrics FILE] [--chrome FILE]'"
     )
-    lines.append(
-        "metric series & dashboards: 'repro metrics record <scenario> --out "
-        "metrics.jsonl' / 'repro metrics show|plot metrics.jsonl'"
-    )
-    lines.append(
-        "benchmarks & regression gate: 'repro bench run [--suite smoke]' / "
-        "'repro bench compare <baseline> <current>'"
-    )
+    lines.append("metric dashboards: 'repro metrics show|plot metrics.jsonl'")
     return "\n".join(lines)
 
 
@@ -962,67 +816,49 @@ def _check_main(argv: List[str]) -> int:
 
 
 def _profile_main(argv: List[str]) -> int:
+    from . import api
     from .errors import ReproError
-    from .obs.profile import profile_scenario, trace_scenario
 
     parser = build_profile_parser()
     args = parser.parse_args(argv)
 
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    heuristics = None
-    if args.heuristics:
-        heuristics = [name.strip() for name in args.heuristics.split(",") if name.strip()]
-    if args.command == "run":
-        try:
-            report = profile_scenario(
-                args.scenario,
-                tasks=args.tasks,
-                metatasks=args.metatasks,
-                repetitions=args.reps,
-                heuristics=heuristics,
-                seed=args.seed,
-                jobs=args.jobs,
-                profile=args.profile,
-                top=args.top,
-            )
-        except ReproError as exc:
-            parser.error(str(exc))
-        # Write the artifact before rendering: a closed stdout (``| head``)
-        # must not lose the machine-readable report.
-        if args.json:
-            try:
-                report.save_json(args.json)
-            except OSError as exc:
-                parser.error(f"could not write {args.json!r}: {exc}")
-        print(report.render())
-        if args.profile and args.jobs > 1:
-            print("note: --profile is forced off at --jobs > 1", file=sys.stderr)
-        if args.json:
-            print(f"wrote {args.json}", file=sys.stderr)
-        return 0
-
-    # trace
-    if args.limit is not None and args.limit < 1:
-        parser.error("--limit must be >= 1")
+    outputs = {
+        "json_path": args.json,
+        "trace_path": args.trace,
+        "metrics_path": args.metrics,
+        "csv_path": args.csv,
+        "chrome_path": args.chrome,
+    }
     try:
-        result = trace_scenario(
+        # Artifacts are written before rendering: a closed stdout (``| head``)
+        # must not lose them.
+        report = api.profile(
             args.scenario,
-            out=args.out,
-            chrome_out=args.chrome,
             tasks=args.tasks,
             metatasks=args.metatasks,
             repetitions=args.reps,
-            heuristics=heuristics,
+            heuristics=_split_csv(args.heuristics),
             seed=args.seed,
             jobs=args.jobs,
+            cprofile=args.cprofile,
+            top=args.top,
             limit=args.limit,
+            interval=args.interval,
+            window=args.window,
+            **outputs,
         )
     except ReproError as exc:
         parser.error(str(exc))
     except OSError as exc:
-        parser.error(f"could not write trace: {exc}")
-    print(result.render())
+        parser.error(f"could not write an artifact: {exc}")
+    print(report.render())
+    if args.cprofile and args.jobs > 1:
+        print("note: --cprofile is forced off at --jobs > 1", file=sys.stderr)
+    for path in outputs.values():
+        if path:
+            print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
@@ -1034,42 +870,10 @@ def _split_csv(option: Optional[str]) -> Optional[List[str]]:
 
 def _metrics_main(argv: List[str]) -> int:
     from .errors import ReproError, ResultsError
+    from .obs import read_metrics_jsonl, views_from_rows
 
     parser = build_metrics_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "record":
-        from .obs.profile import metrics_scenario
-
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
-        if args.interval is not None and args.interval <= 0:
-            parser.error("--interval must be > 0")
-        if args.window is not None and args.window <= 0:
-            parser.error("--window must be > 0")
-        try:
-            result = metrics_scenario(
-                args.scenario,
-                out=args.out,
-                csv_out=args.csv,
-                chrome_out=args.chrome,
-                tasks=args.tasks,
-                metatasks=args.metatasks,
-                repetitions=args.reps,
-                heuristics=_split_csv(args.heuristics),
-                seed=args.seed,
-                jobs=args.jobs,
-                interval=args.interval,
-                window=args.window,
-            )
-        except ReproError as exc:
-            parser.error(str(exc))
-        except OSError as exc:
-            parser.error(f"could not write metrics: {exc}")
-        print(result.render())
-        return 0
-
-    from .obs import read_metrics_jsonl, views_from_rows
 
     def load_views(path: str, prefix: str = ""):
         try:
@@ -1114,104 +918,6 @@ def _metrics_main(argv: List[str]) -> int:
     except OSError as exc:
         parser.error(f"could not write {args.out!r}: {exc}")
     print(f"wrote {args.out} ({len(views)} series)", file=sys.stderr)
-    return 0
-
-
-def _bench_main(argv: List[str]) -> int:
-    from .bench import (
-        BenchReport,
-        compare_reports,
-        get_suite,
-        history_entries,
-        next_history_path,
-        render_history,
-        run_suite,
-    )
-    from .errors import ReproError
-
-    parser = build_bench_parser()
-    args = parser.parse_args(argv)
-
-    def gate_kwargs():
-        if args.max_slowdown < 0 or args.counter_tolerance < 0:
-            parser.error("--max-slowdown and --counter-tolerance must be >= 0")
-        return {
-            "max_slowdown": args.max_slowdown,
-            "counter_tolerance": args.counter_tolerance,
-            "wall_gate": not args.no_wall_gate,
-            "counter_gate": not args.no_counter_gate,
-        }
-
-    if args.command == "history":
-        try:
-            entries = history_entries(args.directory)
-        except ReproError as exc:
-            parser.error(str(exc))
-        print(render_history(entries))
-        return 0
-
-    if args.command == "compare":
-        kwargs = gate_kwargs()
-        try:
-            baseline = BenchReport.load_json(args.baseline)
-            current = BenchReport.load_json(args.current)
-            comparison = compare_reports(baseline, current, **kwargs)
-        except ReproError as exc:
-            parser.error(str(exc))
-        print(comparison.render())
-        return 0 if comparison.ok else 1
-
-    # run
-    kwargs = gate_kwargs()
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    try:
-        cases = get_suite(args.suite)
-    except ReproError as exc:
-        parser.error(str(exc))
-    wanted = _split_csv(args.cases)
-    if wanted:
-        by_name = {case.name: case for case in cases}
-        unknown = [name for name in wanted if name not in by_name]
-        if unknown:
-            parser.error(
-                f"unknown case(s) {unknown} in suite {args.suite!r} "
-                f"(has: {', '.join(sorted(by_name))})"
-            )
-        cases = tuple(by_name[name] for name in wanted)
-    try:
-        report = run_suite(
-            cases,
-            suite=args.suite,
-            seed=args.seed,
-            jobs=args.jobs,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-    except ReproError as exc:
-        parser.error(str(exc))
-    # Artifacts first: a closed stdout must not lose the JSON.
-    if args.json:
-        try:
-            report.save_json(args.json)
-        except OSError as exc:
-            parser.error(f"could not write {args.json!r}: {exc}")
-    if args.history:
-        try:
-            archived = report.save_json(next_history_path(args.history))
-        except OSError as exc:
-            parser.error(f"could not archive to {args.history!r}: {exc}")
-        print(f"archived {archived}", file=sys.stderr)
-    print(report.render())
-    if args.json:
-        print(f"wrote {args.json}", file=sys.stderr)
-    if args.compare:
-        try:
-            baseline = BenchReport.load_json(args.compare)
-            comparison = compare_reports(baseline, report, **kwargs)
-        except ReproError as exc:
-            parser.error(str(exc))
-        print(comparison.render())
-        return 0 if comparison.ok else 1
     return 0
 
 
@@ -1271,8 +977,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _profile_main(argv[1:])
     if argv and argv[0] == "metrics":
         return _metrics_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_main(argv[1:])
 
     parser = build_parser()
     args = parser.parse_args(argv)

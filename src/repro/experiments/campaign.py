@@ -44,7 +44,7 @@ from ..core.heuristics import Heuristic, create_heuristic
 from ..errors import ExperimentError, StoreError
 from ..metrics.comparison import compare_completion_maps, completion_map
 from ..metrics.flow import summarize
-from ..obs import CellMetrics, CellTrace, MetricsSampler, TraceEvent, Tracer
+from ..obs import CellMetrics, CellTrace, Instrumentation, TraceEvent
 from ..platform.middleware import GridMiddleware, MiddlewareConfig, RunResult
 from ..platform.spec import PlatformSpec
 from ..results import (
@@ -131,20 +131,11 @@ class CellWork:
     middleware_config: MiddlewareConfig
     catalogue: ProblemCatalogue
     heuristic_factory: Optional[Heuristic] = None
-    #: Attach a :class:`repro.obs.Tracer` to the cell's middleware.  The
-    #: trace derives from virtual time and the cell's coordinate seed only,
-    #: so traced campaigns stay byte-identical at any ``--jobs`` level.
-    trace: bool = False
-    #: Per-cell event-ring bound (``None`` = unbounded).
-    trace_limit: Optional[int] = None
-    #: Attach a :class:`repro.obs.MetricsSampler` sampling every this many
-    #: virtual seconds (``None`` = metrics off).  Samples read simulation
-    #: state only, so sampled campaigns keep the exact record bytes of
-    #: unsampled ones and stay ``--jobs``-independent like traces.
-    metrics_interval: Optional[float] = None
-    #: Sliding window (virtual seconds) of the windowed throughput / latency
-    #: columns (``None`` = the sampler's default multiple of the interval).
-    metrics_window: Optional[float] = None
+    #: What the cell's middleware observes.  Traces and metric samples
+    #: derive from virtual time and the cell's coordinate seed only, so
+    #: instrumented campaigns keep their record bytes and stay
+    #: byte-identical at any ``--jobs`` level.
+    instrumentation: Instrumentation = Instrumentation()
 
 
 def plan_cells(
@@ -195,12 +186,8 @@ def execute_cell(work: CellWork) -> RunResult:
         heuristic=heuristic,
         catalogue=work.catalogue,
         config=work.middleware_config,
-        tracer=Tracer(limit=work.trace_limit) if work.trace else None,
-        sampler=(
-            MetricsSampler(work.metrics_interval, window=work.metrics_window)
-            if work.metrics_interval is not None
-            else None
-        ),
+        tracer=work.instrumentation.tracer(),
+        sampler=work.instrumentation.sampler(),
     )
     return middleware.run(work.metatask)
 
@@ -382,8 +369,7 @@ class _CampaignAssembler:
         observers: Sequence[CampaignObserver],
         store: Optional[CampaignStore] = None,
         cell_keys: Optional[Sequence] = None,
-        trace: bool = False,
-        metrics_on: bool = False,
+        instrumentation: Instrumentation = Instrumentation(),
     ):
         from .runner import HeuristicOutcome  # circular-import guard
 
@@ -396,8 +382,7 @@ class _CampaignAssembler:
         self._observer_takes_cached = [_accepts_cached(o) for o in self.observers]
         self._observer_takes_run = [_accepts_run(o) for o in self.observers]
         self.store = store
-        self.trace = trace
-        self.metrics_on = metrics_on
+        self.instrumentation = instrumentation
         #: One :class:`repro.obs.CellTrace` per cell, planned order (filled
         #: as cells are processed; stays all-``None`` when tracing is off).
         self.traces: List[Optional[CellTrace]] = [None] * len(cells)
@@ -480,7 +465,7 @@ class _CampaignAssembler:
             self.store.put(
                 CellEntry(key=self.cell_keys[index], record=record, completions=completions)
             )
-        if self.trace:
+        if self.instrumentation.trace:
             events = list(run.trace_events)
             if self.store is not None:
                 # Store attached and the cell still executed: a cache miss.
@@ -492,7 +477,7 @@ class _CampaignAssembler:
                 events=tuple(events),
                 dropped=run.trace_dropped,
             )
-        if self.metrics_on:
+        if self.instrumentation.metrics:
             self.metrics[index] = CellMetrics.from_series(
                 cell.heuristic,
                 cell.metatask_index,
@@ -512,7 +497,7 @@ class _CampaignAssembler:
                     "entry is damaged — prune it and re-run"
                 )
             self.reference_completions[cell.key] = dict(entry.completions)
-        if self.trace:
+        if self.instrumentation.trace:
             # A recovered cell never re-simulates, so its trace is the single
             # marker event — the trace stays an honest account of this run.
             self.traces[index] = CellTrace(
@@ -521,7 +506,7 @@ class _CampaignAssembler:
                 repetition=cell.repetition,
                 events=(TraceEvent(0.0, "store.hit"),),
             )
-        if self.metrics_on:
+        if self.instrumentation.metrics:
             # A recovered cell never re-simulates: its series is honestly
             # empty rather than a replay of bytes the store never kept.
             self.metrics[index] = CellMetrics.from_series(
@@ -626,10 +611,7 @@ def _run_round(
     observers: Sequence[CampaignObserver],
     store: Optional[CampaignStore],
     rep_range: Optional[range] = None,
-    trace: bool = False,
-    trace_limit: Optional[int] = None,
-    metrics_interval: Optional[float] = None,
-    metrics_window: Optional[float] = None,
+    instrumentation: Instrumentation = Instrumentation(),
 ) -> Tuple[_CampaignAssembler, List[RunCell]]:
     """Plan, execute and assemble one round of repetitions.
 
@@ -648,10 +630,7 @@ def _run_round(
             middleware_config=config.middleware_for(cell.heuristic, cell.seed_offset),
             catalogue=catalogue,
             heuristic_factory=(heuristic_factories or {}).get(cell.heuristic),
-            trace=trace,
-            trace_limit=trace_limit,
-            metrics_interval=metrics_interval,
-            metrics_window=metrics_window,
+            instrumentation=instrumentation,
         )
         for cell in cells
     ]
@@ -701,8 +680,7 @@ def _run_round(
 
     assembler = _CampaignAssembler(
         experiment_id, cells, work_items, config, observers,
-        store=store, cell_keys=cell_keys, trace=trace,
-        metrics_on=metrics_interval is not None,
+        store=store, cell_keys=cell_keys, instrumentation=instrumentation,
     )
     for observer in observers:
         observer.on_campaign_start(experiment_id, len(cells))
@@ -751,10 +729,7 @@ def run_campaign(
     store: Optional[Union[CampaignStore, str]] = None,
     reps: Optional[Union[int, str]] = None,
     ci_target: Optional[float] = None,
-    trace: bool = False,
-    trace_limit: Optional[int] = None,
-    metrics_interval: Optional[float] = None,
-    metrics_window: Optional[float] = None,
+    instrumentation: Optional[Instrumentation] = None,
 ):
     """Run a full table campaign and assemble its :class:`TableResult`.
 
@@ -777,28 +752,24 @@ def run_campaign(
     sequential campaign is byte-identical at any ``jobs`` level and across
     store-warm resumes — exactly like fixed mode.
 
-    ``trace=True`` attaches a :class:`repro.obs.Tracer` to every executed
-    cell's middleware and returns the per-cell traces on ``table.traces``
-    (planned order, one :class:`repro.obs.CellTrace` per cell).  Trace
-    events carry *virtual* time only and derive from cell coordinates, so a
-    traced campaign — records **and** trace — is byte-identical at any
-    ``jobs`` level; ``trace_limit`` bounds each cell's event ring.  With a
-    store attached, recovered cells contribute a single ``store.hit`` marker
-    (they never re-simulate) and executed ones are prefixed ``store.miss``.
-
-    ``metrics_interval`` attaches a :class:`repro.obs.MetricsSampler` to
-    every executed cell — a fixed-interval virtual-time sampler of queue
-    depths, utilization, in-flight tasks, completions/failures, report
-    staleness and windowed throughput/latency — and returns the per-cell
-    series on ``table.metrics`` (planned order, one
-    :class:`repro.obs.CellMetrics` per cell; ``metrics_window`` sets the
-    sliding window of the windowed columns).  Sampling reads simulation
-    state and never mutates it, so a sampled campaign keeps the exact
-    record bytes of an unsampled one and — like traces — the series are
-    byte-identical at any ``jobs`` level.  Recovered cells never
-    re-simulate and contribute an empty series.  Both knobs are
-    execution-only: they are not config fields and leave fingerprints
-    untouched.
+    ``instrumentation`` (a :class:`repro.obs.Instrumentation`) says what
+    every executed cell observes.  With ``trace`` on, each cell's middleware
+    carries a :class:`repro.obs.Tracer` and the per-cell traces come back on
+    ``table.traces`` (planned order, one :class:`repro.obs.CellTrace` per
+    cell; ``trace_limit`` bounds each cell's event ring).  With a
+    ``metrics_interval``, each cell carries a :class:`repro.obs.MetricsSampler`
+    — a fixed-interval virtual-time sampler of queue depths, utilization,
+    in-flight tasks, completions/failures, report staleness and windowed
+    throughput/latency (``metrics_window`` sets the window) — and the
+    per-cell series come back on ``table.metrics`` (same shape and order).
+    Trace events and samples carry *virtual* time only and derive from cell
+    coordinates, so an instrumented campaign — records, trace and series —
+    is byte-identical at any ``jobs`` level, and its records equal an
+    uninstrumented run's.  With a store attached, recovered cells never
+    re-simulate: their trace is a single ``store.hit`` marker and their
+    series is empty; executed cells' traces are prefixed ``store.miss``.
+    Instrumentation is execution-only: it is not a config field and leaves
+    fingerprints untouched.
 
     ``store`` (or ``config.store``) attaches a
     :class:`~repro.store.CampaignStore`: the plan is diffed against the
@@ -822,6 +793,8 @@ def run_campaign(
     the records.
     """
     metatasks = list(metatasks)
+    if instrumentation is None:
+        instrumentation = Instrumentation()
     config, rule = _resolve_repetitions(config, reps, ci_target)
     if executor is None:
         executor = create_executor(config.jobs if jobs is None else jobs)
@@ -835,8 +808,7 @@ def run_campaign(
             _run_round(
                 experiment_id, platform, metatasks, config, catalogue,
                 heuristic_factories, executor, all_observers, store,
-                trace=trace, trace_limit=trace_limit,
-                metrics_interval=metrics_interval, metrics_window=metrics_window,
+                instrumentation=instrumentation,
             )
         )
         total_reps = config.scale.repetitions
@@ -849,8 +821,7 @@ def run_campaign(
                     experiment_id, platform, metatasks, config, catalogue,
                     heuristic_factories, executor, all_observers, store,
                     rep_range=range(start, total_reps),
-                    trace=trace, trace_limit=trace_limit,
-                    metrics_interval=metrics_interval, metrics_window=metrics_window,
+                    instrumentation=instrumentation,
                 )
             )
             groups = _metric_groups([a for a, _ in rounds], rule.metric)
@@ -970,19 +941,17 @@ def run_campaign(
     table = result_set.pivot()
     table.outcomes = outcomes
     table.cache_info = {"recovered": recovered, "executed": executed}
-    # Per-cell virtual-time traces, rounds concatenated in planned order
-    # (empty unless ``trace=True``) — like ``outcomes``, a rich ride-along
-    # that never influences the pivot itself.
+    # Per-cell virtual-time traces and metric series, rounds concatenated in
+    # planned order (each empty unless instrumented) — like ``outcomes``, a
+    # rich ride-along that never influences the pivot itself.
     table.traces = (
         [cell_trace for assembler, _ in rounds for cell_trace in assembler.traces]
-        if trace
+        if instrumentation.trace
         else []
     )
-    # Per-cell metric series, same shape and ordering contract as traces
-    # (empty unless ``metrics_interval`` was given).
     table.metrics = (
         [cell_metrics for assembler, _ in rounds for cell_metrics in assembler.metrics]
-        if metrics_interval is not None
+        if instrumentation.metrics
         else []
     )
     return table

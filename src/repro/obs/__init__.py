@@ -16,13 +16,16 @@ profiling"):
   latency) with byte-stable JSONL / CSV serialisation;
 * :mod:`repro.obs.dashboard` — offline renderers over those series: TTY
   sparklines and a single-file inline-SVG HTML report (stdlib only);
+* :mod:`repro.obs.instrumentation` — :class:`Instrumentation`, the one
+  execution-only value saying what a campaign observes (trace, ring bound,
+  metrics interval and window);
 * :mod:`repro.obs.report` — the per-campaign :class:`PerfReport`
   (``perf-report.json``) fed by :class:`PerfReportObserver` on the campaign
   observer chain;
 * :mod:`repro.obs.wallclock` — the *single* sanctioned home for wall-clock
   reads in the package (the DET-CLOCK lint rule exempts ``repro/obs/`` and
   nothing else);
-* :mod:`repro.obs.profile` — the ``repro profile run|trace`` harness.  It
+* :mod:`repro.obs.profile` — the ``repro profile`` harness.  It
   sits on top of the scenario/campaign layers, so import it explicitly
   (``from repro.obs import profile``) — it is intentionally not re-exported
   here to keep ``import repro.platform`` (which imports this package) free
@@ -60,6 +63,7 @@ from .dashboard import (
     write_metrics_html,
 )
 from .chrome import chrome_trace, write_chrome_trace
+from .instrumentation import Instrumentation
 from .report import PerfReport, PerfReportObserver
 
 __all__ = [
@@ -88,6 +92,7 @@ __all__ = [
     "write_metrics_html",
     "chrome_trace",
     "write_chrome_trace",
+    "Instrumentation",
     "PerfReport",
     "PerfReportObserver",
 ]

@@ -159,8 +159,10 @@ def write_chrome_trace(
     cell_metrics: Optional[Sequence[CellMetrics]] = None,
 ) -> int:
     """Write the Chrome trace JSON for ``cell_traces``; returns the event count."""
+    from ..store.journal import atomic_write_text  # deferred: store -> results -> obs
+
     document = chrome_trace(cell_traces, cell_metrics)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(document, handle, separators=(",", ":"), allow_nan=False)
-        handle.write("\n")
+    atomic_write_text(
+        path, json.dumps(document, separators=(",", ":"), allow_nan=False) + "\n"
+    )
     return len(document["traceEvents"])

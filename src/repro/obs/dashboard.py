@@ -239,8 +239,8 @@ def write_metrics_html(
     title: str = "metrics report",
 ) -> str:
     """Write the HTML report to ``path`` and return the path."""
-    document = render_metrics_html(views, columns=columns, title=title)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(document)
-        handle.write("\n")
-    return path
+    from ..store.journal import atomic_write_text  # deferred: store -> results -> obs
+
+    return atomic_write_text(
+        path, render_metrics_html(views, columns=columns, title=title) + "\n"
+    )

@@ -1,17 +1,19 @@
-"""The profiling harness: ``repro profile run|trace``.
+"""The profiling harness: ``repro profile``.
 
 Wraps any registry scenario in wall-clock phase timers (and optionally
 ``cProfile``) at a configurable size, producing the :class:`PerfReport`
 behind ``perf-report.json`` — the artifact that anchors every optimisation
-claim on the road to million-task runs.  ``trace_scenario`` runs the same
-campaign with the virtual-time trace bus enabled and writes the JSONL trace
-plus its Chrome ``trace_event`` export.
+claim on the road to million-task runs.  An :class:`Instrumentation` value
+additionally turns on the virtual-time trace bus and/or the metrics sampler
+for the same run; the report then carries the cell traces and metric series
+for the JSONL / CSV / Chrome ``trace_event`` exports.
 
 The harness is the *only* place wall time and simulation meet, and it keeps
 them apart by construction: phases are timed around the campaign from the
-outside, the trace inside carries virtual time only.  A traced run's records
-and trace bytes are identical at any ``--jobs`` level; only the numbers in
-the perf report (wall seconds, tasks/s) vary run to run.
+outside, traces and samples inside carry virtual time only.  An instrumented
+run's records, trace bytes and series bytes are identical at any ``--jobs``
+level; only the numbers in the perf report (wall seconds, tasks/s) vary run
+to run.
 
 This module imports the scenario and campaign layers, so it is *not*
 re-exported from ``repro.obs`` eagerly — import it as ``repro.obs.profile``
@@ -23,27 +25,15 @@ from __future__ import annotations
 
 import cProfile
 import pstats
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ExperimentError
+from .instrumentation import Instrumentation
 from .report import PerfReport, PerfReportObserver
-from .trace import CellTrace, write_trace_jsonl
-from .chrome import write_chrome_trace
-from .metrics import (
-    CellMetrics,
-    write_metrics_csv,
-    write_metrics_jsonl,
-)
 from .wallclock import PhaseTimer
 
-__all__ = [
-    "profile_scenario",
-    "trace_scenario",
-    "metrics_scenario",
-    "TraceRunResult",
-    "MetricsRunResult",
-]
+__all__ = ["profile_scenario"]
 
 
 def _campaign_pieces(
@@ -79,6 +69,9 @@ def _campaign_pieces(
     config = ExperimentConfig(scale=scale, seed=seed, jobs=jobs)
     effective = scenario_config(scenario, config)
     if heuristics:
+        duplicates = sorted({h for h in heuristics if heuristics.count(h) > 1})
+        if duplicates:
+            raise ExperimentError(f"heuristics {duplicates} are listed more than once")
         unknown = [h for h in heuristics if h not in scenario.heuristics]
         if unknown:
             raise ExperimentError(
@@ -123,17 +116,21 @@ def profile_scenario(
     heuristics: Optional[Sequence[str]] = None,
     seed: int = 2003,
     jobs: int = 1,
-    profile: bool = False,
+    instrumentation: Optional[Instrumentation] = None,
+    cprofile: bool = False,
     top: int = 20,
 ) -> PerfReport:
     """Run one scenario under phase timers and return its :class:`PerfReport`.
 
     ``tasks`` overrides the per-metatask task count (the knob behind
-    ``repro profile run <scenario> --tasks N``); ``metatasks`` and
+    ``repro profile <scenario> --tasks N``); ``metatasks`` and
     ``repetitions`` default to 1 so the harness profiles one representative
-    cell per heuristic.  ``profile=True`` additionally wraps the simulate
-    phase in ``cProfile`` (forced off when ``jobs > 1`` — a parent-process
-    profile of a worker pool would time pickling, not simulation).
+    cell per heuristic.  ``instrumentation`` turns on the trace bus and/or
+    the metrics sampler; the report then carries the cell traces and metric
+    series on ``traces`` / ``metrics``.  ``cprofile=True`` additionally
+    wraps the simulate phase in ``cProfile`` (forced off when ``jobs > 1`` —
+    a parent-process profile of a worker pool would time pickling, not
+    simulation).
     """
     from ..experiments.campaign import run_campaign
 
@@ -150,7 +147,7 @@ def profile_scenario(
 
     observer = PerfReportObserver()
     profiler: Optional[cProfile.Profile] = None
-    if profile and jobs <= 1:
+    if cprofile and jobs <= 1:
         profiler = cProfile.Profile()
     with timer.phase("simulate"):
         if profiler is not None:
@@ -164,6 +161,7 @@ def profile_scenario(
                 config=effective,
                 jobs=jobs,
                 observers=[observer],
+                instrumentation=instrumentation,
             )
         finally:
             if profiler is not None:
@@ -196,186 +194,6 @@ def profile_scenario(
         per_cell=observer.per_cell,
         profile_top=profile_top,
         jobs=jobs,
-    )
-
-
-@dataclass
-class TraceRunResult:
-    """What a ``repro profile trace`` run produced."""
-
-    scenario: str
-    trace_path: str
-    chrome_path: Optional[str]
-    cells: int
-    events: int
-    lines: int
-    dropped: int
-
-    def render(self) -> str:
-        parts = [
-            f"trace: {self.scenario} — {self.events} event(s) from "
-            f"{self.cells} cell(s)",
-            f"  jsonl:  {self.trace_path} ({self.lines} lines)",
-        ]
-        if self.chrome_path:
-            parts.append(
-                f"  chrome: {self.chrome_path} (open in chrome://tracing or "
-                "ui.perfetto.dev)"
-            )
-        if self.dropped:
-            parts.append(
-                f"  WARNING: ring limit dropped {self.dropped} event(s); "
-                "raise --limit for a complete trace"
-            )
-        return "\n".join(parts)
-
-
-def trace_scenario(
-    name: str,
-    *,
-    out: str,
-    chrome_out: Optional[str] = None,
-    tasks: Optional[int] = None,
-    metatasks: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    heuristics: Optional[Sequence[str]] = None,
-    seed: int = 2003,
-    jobs: int = 1,
-    limit: Optional[int] = None,
-) -> TraceRunResult:
-    """Run one scenario with the trace bus on and write the trace files.
-
-    The JSONL trace at ``out`` is a deterministic function of the campaign
-    plan: byte-identical at any ``jobs`` level.  ``chrome_out`` additionally
-    writes the Chrome ``trace_event`` export.  ``limit`` bounds the per-cell
-    event ring (``None`` keeps everything).
-    """
-    from ..experiments.campaign import run_campaign
-
-    scenario, effective = _campaign_pieces(
-        name, tasks, metatasks, repetitions, heuristics, seed, jobs
-    )
-    from ..scenarios.scenario import build_scenario_metatasks
-
-    workload = build_scenario_metatasks(scenario, effective)
-    table = run_campaign(
-        experiment_id=f"scenario-{scenario.name}",
-        title=f"trace {scenario.name}",
-        platform=scenario.platform_factory(),
-        metatasks=workload,
-        config=effective,
-        jobs=jobs,
-        trace=True,
-        trace_limit=limit,
-    )
-    traces: List[CellTrace] = list(table.traces)
-    lines = write_trace_jsonl(out, traces)
-    events = sum(len(cell.events) for cell in traces)
-    dropped = sum(cell.dropped for cell in traces)
-    chrome_path = None
-    if chrome_out:
-        write_chrome_trace(chrome_out, traces)
-        chrome_path = chrome_out
-    return TraceRunResult(
-        scenario=scenario.name,
-        trace_path=out,
-        chrome_path=chrome_path,
-        cells=len(traces),
-        events=events,
-        lines=lines,
-        dropped=dropped,
-    )
-
-
-@dataclass
-class MetricsRunResult:
-    """What a ``repro metrics record`` run produced."""
-
-    scenario: str
-    out: str
-    csv_path: Optional[str]
-    chrome_path: Optional[str]
-    cells: int
-    samples: int
-
-    def render(self) -> str:
-        parts = [
-            f"metrics: {self.scenario} — {self.samples} sample(s) from "
-            f"{self.cells} cell(s)",
-            f"  jsonl:  {self.out}",
-        ]
-        if self.csv_path:
-            parts.append(f"  csv:    {self.csv_path}")
-        if self.chrome_path:
-            parts.append(
-                f"  chrome: {self.chrome_path} (open in chrome://tracing or "
-                "ui.perfetto.dev)"
-            )
-        parts.append(
-            "  inspect with: repro metrics show " + self.out
-        )
-        return "\n".join(parts)
-
-
-def metrics_scenario(
-    name: str,
-    *,
-    out: str,
-    csv_out: Optional[str] = None,
-    chrome_out: Optional[str] = None,
-    tasks: Optional[int] = None,
-    metatasks: Optional[int] = None,
-    repetitions: Optional[int] = None,
-    heuristics: Optional[Sequence[str]] = None,
-    seed: int = 2003,
-    jobs: int = 1,
-    interval: Optional[float] = None,
-    window: Optional[float] = None,
-) -> MetricsRunResult:
-    """Run one scenario with the metrics sampler on and write the series.
-
-    The JSONL at ``out`` is a deterministic function of the campaign plan —
-    sampling reads virtual time and simulation state only, so the file is
-    byte-identical at any ``jobs`` level (the CI metrics-smoke job diffs
-    exactly that).  ``csv_out`` adds a long-format CSV for spreadsheet
-    tooling; ``chrome_out`` writes a Chrome ``trace_event`` export carrying
-    the samples as counter tracks.  ``interval``/``window`` are virtual
-    seconds (``None`` takes the sampler defaults).
-    """
-    from ..experiments.campaign import run_campaign
-    from .metrics import DEFAULT_INTERVAL_S
-
-    scenario, effective = _campaign_pieces(
-        name, tasks, metatasks, repetitions, heuristics, seed, jobs
-    )
-    from ..scenarios.scenario import build_scenario_metatasks
-
-    workload = build_scenario_metatasks(scenario, effective)
-    table = run_campaign(
-        experiment_id=f"scenario-{scenario.name}",
-        title=f"metrics {scenario.name}",
-        platform=scenario.platform_factory(),
-        metatasks=workload,
-        config=effective,
-        jobs=jobs,
-        metrics_interval=DEFAULT_INTERVAL_S if interval is None else interval,
-        metrics_window=window,
-    )
-    cells: List[CellMetrics] = list(table.metrics)
-    samples = write_metrics_jsonl(out, cells)
-    csv_path = None
-    if csv_out:
-        write_metrics_csv(csv_out, cells)
-        csv_path = csv_out
-    chrome_path = None
-    if chrome_out:
-        write_chrome_trace(chrome_out, [], cell_metrics=cells)
-        chrome_path = chrome_out
-    return MetricsRunResult(
-        scenario=scenario.name,
-        out=out,
-        csv_path=csv_path,
-        chrome_path=chrome_path,
-        cells=len(cells),
-        samples=samples,
+        traces=list(table.traces),
+        metrics=list(table.metrics),
     )

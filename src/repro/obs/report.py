@@ -7,7 +7,9 @@ engine dispatches on method signatures, so this module needs no import from
 :class:`~repro.platform.middleware.RunResult` of every freshly executed cell
 through the optional ``run=`` keyword, and the observer accumulates each
 cell's hot-path counters.  :class:`PerfReport` then combines that rollup
-with the profiling harness's wall-clock phase timers into one JSON artifact.
+with the profiling harness's wall-clock phase timers into one JSON artifact,
+and carries the run's cell traces and metric series (when instrumented) for
+the trace / metrics / Chrome exports.
 
 Contract reminder: wall-clock fields (``phases``, ``wall_s_total``,
 throughput) exist *only* in this report.  Counters are deterministic, wall
@@ -17,12 +19,12 @@ times are not, and neither may reach records, traces or fingerprints.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .counters import merge_counters
+from .metrics import CellMetrics
+from .trace import CellTrace
 
 __all__ = ["PerfReportObserver", "PerfReport"]
 
@@ -117,6 +119,10 @@ class PerfReport:
     #: Top functions by cumulative time from cProfile (empty when disabled).
     profile_top: List[Dict[str, object]] = field(default_factory=list)
     jobs: int = 1
+    #: Per-cell virtual-time traces, planned order (empty unless traced).
+    traces: List[CellTrace] = field(default_factory=list, repr=False)
+    #: Per-cell metric series, planned order (empty unless sampled).
+    metrics: List[CellMetrics] = field(default_factory=list, repr=False)
 
     @property
     def wall_s_total(self) -> float:
@@ -170,22 +176,11 @@ class PerfReport:
 
     def save_json(self, path: str) -> str:
         """Atomically write the report to ``path`` and return it."""
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        handle, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".perf-report-", suffix=".tmp"
+        from ..store.journal import atomic_write_text  # deferred: store -> results -> obs
+
+        return atomic_write_text(
+            path, json.dumps(self.as_dict(), indent=2, allow_nan=False) + "\n"
         )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as tmp:
-                json.dump(self.as_dict(), tmp, indent=2, allow_nan=False)
-                tmp.write("\n")
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        return path
 
     def render(self) -> str:
         """Human-readable summary (the CLI's default output)."""
@@ -196,8 +191,25 @@ class PerfReport:
             + (f", {self.truncated_cells} TRUNCATED" if self.truncated_cells else ""),
             f"  tasks simulated: {self.tasks_simulated} "
             f"({self.tasks_per_s:.1f} tasks/s end to end)",
-            "  phases:",
         ]
+        if self.traces:
+            events = sum(len(cell.events) for cell in self.traces)
+            dropped = sum(cell.dropped for cell in self.traces)
+            lines.append(
+                f"  trace: {events} event(s) from {len(self.traces)} cell(s)"
+                + (
+                    f"; WARNING: ring limit dropped {dropped} event(s), "
+                    "raise --limit for a complete trace"
+                    if dropped
+                    else ""
+                )
+            )
+        if self.metrics:
+            samples = sum(len(cell.times) for cell in self.metrics)
+            lines.append(
+                f"  metrics: {samples} sample(s) from {len(self.metrics)} cell(s)"
+            )
+        lines.append("  phases:")
         total = self.wall_s_total
         for name, seconds in self.phases:
             share = f"{100.0 * seconds / total:5.1f}%" if total > 0 else "    -"

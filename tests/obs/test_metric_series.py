@@ -10,6 +10,7 @@ import pytest
 from repro.errors import ResultsError
 from repro.obs import (
     CellMetrics,
+    Instrumentation,
     MetricSeries,
     MetricsSampler,
     SeriesView,
@@ -206,13 +207,13 @@ class TestSerialisation:
 class TestCampaignDeterminism:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_metrics_jsonl_is_byte_identical_across_jobs(self, tmp_path, jobs):
-        from repro.obs.profile import metrics_scenario
+        from repro import api
 
         paths = []
         for tag, level in (("serial", 1), ("parallel", jobs)):
             path = str(tmp_path / f"metrics-{tag}.jsonl")
-            metrics_scenario(
-                "paper-low-rate", out=path, tasks=15, jobs=level, interval=120.0
+            api.profile(
+                "paper-low-rate", metrics_path=path, tasks=15, jobs=level, interval=120.0
             )
             paths.append(path)
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
@@ -232,12 +233,12 @@ class TestCampaignDeterminism:
         store = str(tmp_path / "store")
         cold = run_campaign(
             "t", "t", first_set_platform(), [metatask], config,
-            store=store, metrics_interval=60.0,
+            store=store, instrumentation=Instrumentation(metrics_interval=60.0),
         )
         assert all(len(cell.times) > 0 for cell in cold.metrics)
         warm = run_campaign(
             "t", "t", first_set_platform(), [metatask], config,
-            store=store, metrics_interval=60.0,
+            store=store, instrumentation=Instrumentation(metrics_interval=60.0),
         )
         assert [r.__dict__ for r in warm.result_set] == [
             r.__dict__ for r in cold.result_set

@@ -1,10 +1,12 @@
-"""End-to-end tests of the profiling harness and trace determinism.
+"""End-to-end tests of the profiling harness and instrumentation determinism.
 
-The two contracts the subsystem ships on:
+The contracts the subsystem ships on:
 
-* a traced campaign's JSONL (and Chrome export) is byte-identical at any
-  ``--jobs`` level — the trace is a function of the plan, not the executor;
-* turning tracing on does not change a single record.
+* an instrumented campaign's trace JSONL, metrics JSONL and Chrome export
+  are byte-identical at any ``--jobs`` level — they are functions of the
+  plan, not the executor;
+* turning instrumentation on does not change a single record;
+* invalid instrumentation is rejected before any cell is planned.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import json
 
 import pytest
 
+from repro import api
 from repro.errors import ExperimentError
-from repro.obs.profile import profile_scenario, trace_scenario
+from repro.obs import Instrumentation
+from repro.obs.profile import profile_scenario
 
 _TASKS = 20
 
@@ -34,9 +38,10 @@ class TestProfileScenario:
         assert report.tasks_simulated == _TASKS * report.cells_total
         assert any(key.startswith("fluid.") for key in report.counters)
         assert report.profile_top == []  # cProfile off by default
+        assert report.traces == [] and report.metrics == []  # not instrumented
 
     def test_cprofile_populates_hottest_functions(self):
-        report = profile_scenario("diurnal-week", tasks=_TASKS, profile=True, top=5)
+        report = profile_scenario("diurnal-week", tasks=_TASKS, cprofile=True, top=5)
         assert 0 < len(report.profile_top) <= 5
         assert all("cumtime_s" in entry for entry in report.profile_top)
 
@@ -48,108 +53,232 @@ class TestProfileScenario:
         report = profile_scenario("diurnal-week", tasks=_TASKS, heuristics=["mct"])
         assert report.cells_total == 1
 
+    def test_duplicate_heuristics_are_rejected(self):
+        with pytest.raises(ExperimentError, match="more than once"):
+            profile_scenario("paper-low-rate", tasks=5, heuristics=["mct", "mct"])
+
+    def test_instrumented_report_carries_traces_and_series(self):
+        report = profile_scenario(
+            "diurnal-week",
+            tasks=_TASKS,
+            instrumentation=Instrumentation(trace=True, metrics_interval=120.0),
+        )
+        assert len(report.traces) == len(report.metrics) == report.cells_total
+        rendered = report.render()
+        assert "trace:" in rendered and "metrics:" in rendered
+
+
+def _profile(tmp_path, tag, **kwargs):
+    """Run ``api.profile`` writing every artifact under ``tmp_path``."""
+    paths = {
+        "trace_path": str(tmp_path / f"trace-{tag}.jsonl"),
+        "chrome_path": str(tmp_path / f"chrome-{tag}.json"),
+    }
+    report = api.profile("diurnal-week", tasks=_TASKS, **paths, **kwargs)
+    return report, paths
+
 
 class TestTraceDeterminism:
     def test_trace_is_byte_identical_across_jobs(self, tmp_path):
         paths = {}
         for jobs in (1, 2):
-            out = str(tmp_path / f"trace-j{jobs}.jsonl")
-            chrome = str(tmp_path / f"chrome-j{jobs}.json")
-            result = trace_scenario(
-                "diurnal-week", out=out, chrome_out=chrome, tasks=_TASKS, jobs=jobs
-            )
-            assert result.events > 0 and result.dropped == 0
-            paths[jobs] = (out, chrome)
-        assert filecmp.cmp(paths[1][0], paths[2][0], shallow=False)
-        assert filecmp.cmp(paths[1][1], paths[2][1], shallow=False)
+            report, paths[jobs] = _profile(tmp_path, f"j{jobs}", jobs=jobs)
+            assert sum(len(cell.events) for cell in report.traces) > 0
+            assert sum(cell.dropped for cell in report.traces) == 0
+        for key in ("trace_path", "chrome_path"):
+            assert filecmp.cmp(paths[1][key], paths[2][key], shallow=False)
 
     def test_trace_covers_the_event_taxonomy(self, tmp_path):
-        out = str(tmp_path / "trace.jsonl")
-        trace_scenario("diurnal-week", out=out, tasks=_TASKS)
-        kinds = {json.loads(line)["kind"] for line in open(out, encoding="utf-8")}
+        _, paths = _profile(tmp_path, "taxonomy")
+        kinds = {
+            json.loads(line)["kind"]
+            for line in open(paths["trace_path"], encoding="utf-8")
+        }
         assert {"task.submit", "task.dispatch", "task.complete", "monitor.report"} <= kinds
         assert any(kind.startswith("htm.") for kind in kinds)  # hmct/msf cells
 
     def test_ring_limit_truncates_visibly(self, tmp_path):
-        out = str(tmp_path / "trace.jsonl")
-        result = trace_scenario("diurnal-week", out=out, tasks=_TASKS, limit=10)
-        assert result.dropped > 0
+        report, paths = _profile(tmp_path, "limited", limit=10)
+        dropped = sum(cell.dropped for cell in report.traces)
+        assert dropped > 0
+        assert "WARNING: ring limit dropped" in report.render()
         markers = [
             json.loads(line)
-            for line in open(out, encoding="utf-8")
+            for line in open(paths["trace_path"], encoding="utf-8")
             if json.loads(line)["kind"] == "trace.dropped"
         ]
-        assert sum(marker["count"] for marker in markers) == result.dropped
+        assert sum(marker["count"] for marker in markers) == dropped
 
     def test_chrome_export_loads_and_uses_virtual_clock(self, tmp_path):
-        out = str(tmp_path / "trace.jsonl")
-        chrome = str(tmp_path / "chrome.json")
-        trace_scenario("diurnal-week", out=out, chrome_out=chrome, tasks=_TASKS)
-        doc = json.load(open(chrome, encoding="utf-8"))
+        _, paths = _profile(tmp_path, "chrome")
+        doc = json.load(open(paths["chrome_path"], encoding="utf-8"))
         assert doc["otherData"]["clock"] == "virtual"
         assert any(event["ph"] == "i" for event in doc["traceEvents"])
+        assert not any(event["ph"] == "C" for event in doc["traceEvents"])
+
+    def test_combined_chrome_holds_events_and_counters_per_cell(self, tmp_path):
+        chrome = str(tmp_path / "both.json")
+        report = api.profile(
+            "diurnal-week",
+            tasks=_TASKS,
+            trace_path=str(tmp_path / "trace.jsonl"),
+            metrics_path=str(tmp_path / "metrics.jsonl"),
+            interval=120.0,
+            chrome_path=chrome,
+        )
+        events = json.load(open(chrome, encoding="utf-8"))["traceEvents"]
+        processes = [e for e in events if e["name"] == "process_name"]
+        # One process per cell: the counter tracks joined the traced cells.
+        assert len(processes) == report.cells_total
+        for process in processes:
+            phases = {e["ph"] for e in events if e["pid"] == process["pid"]}
+            assert {"i", "C"} <= phases, process["args"]["name"]
 
 
-class TestTracingNeverChangesRecords:
+def _campaign_kwargs():
+    from repro.experiments.config import ExperimentConfig, ExperimentScale
+    from repro.scenarios.scenario import (
+        build_scenario_metatasks,
+        get_scenario,
+        scenario_config,
+    )
+
+    scenario = get_scenario("diurnal-week")
+    config = scenario_config(
+        scenario,
+        ExperimentConfig(
+            scale=ExperimentScale(
+                name="tiny", task_count=_TASKS, metatask_count=1, repetitions=1
+            )
+        ),
+    )
+    return dict(
+        experiment_id=f"scenario-{scenario.name}",
+        title="t",
+        # a fresh platform per call: a middleware cannot run twice
+        platform=scenario.platform_factory(),
+        metatasks=build_scenario_metatasks(scenario, config),
+        config=config,
+        jobs=1,
+    )
+
+
+class TestInstrumentationNeverChangesRecords:
     def test_traced_and_untraced_campaigns_agree(self):
         from repro.experiments.campaign import run_campaign
-        from repro.experiments.config import ExperimentConfig, ExperimentScale
-        from repro.scenarios.scenario import (
-            build_scenario_metatasks,
-            get_scenario,
-            scenario_config,
-        )
 
-        scenario = get_scenario("diurnal-week")
-        config = scenario_config(
-            scenario,
-            ExperimentConfig(
-                scale=ExperimentScale(
-                    name="tiny", task_count=_TASKS, metatask_count=1, repetitions=1
-                )
-            ),
+        plain = run_campaign(**_campaign_kwargs())
+        traced = run_campaign(
+            **_campaign_kwargs(), instrumentation=Instrumentation(trace=True)
         )
-        kwargs = dict(
-            experiment_id=f"scenario-{scenario.name}",
-            title="t",
-            platform=scenario.platform_factory(),
-            metatasks=build_scenario_metatasks(scenario, config),
-            config=config,
-            jobs=1,
-        )
-        plain = run_campaign(**kwargs)
-        # rebuild the platform: a middleware cannot run twice
-        kwargs["platform"] = scenario.platform_factory()
-        traced = run_campaign(**kwargs, trace=True)
         assert plain.result_set.records == traced.result_set.records
         assert plain.render() == traced.render()
         assert plain.traces == []
         assert len(traced.traces) > 0
         assert all(len(cell.events) > 0 for cell in traced.traces)
 
+    def test_fully_instrumented_campaign_keeps_the_records(self, tmp_path):
+        from repro.experiments.campaign import run_campaign
+        from repro.obs import write_chrome_trace
+
+        plain = run_campaign(**_campaign_kwargs())
+        full = run_campaign(
+            **_campaign_kwargs(),
+            instrumentation=Instrumentation(
+                trace=True, trace_limit=50, metrics_interval=60.0, metrics_window=120.0
+            ),
+        )
+        assert write_chrome_trace(
+            str(tmp_path / "both.json"), full.traces, cell_metrics=full.metrics
+        ) > 0
+        assert full.result_set.to_jsonl() == plain.result_set.to_jsonl()
+        assert full.render() == plain.render()
+        assert len(full.traces) == len(full.metrics) == len(plain.result_set)
+
+
+class TestInstrumentationValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"trace": True, "trace_limit": 0},
+            {"metrics_interval": 0.0},
+            {"metrics_interval": -1.0},
+            {"metrics_interval": float("nan")},
+            {"metrics_interval": 60.0, "metrics_window": 0.0},
+            {"metrics_window": 120.0},
+        ],
+    )
+    def test_invalid_settings_raise_a_library_error(self, kwargs):
+        with pytest.raises(ExperimentError):
+            Instrumentation(**kwargs)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_rejected_with_a_cold_or_warm_store(self, tmp_path, warm):
+        from repro.experiments.campaign import run_campaign
+
+        store = str(tmp_path / "store")
+        if warm:
+            run_campaign(**_campaign_kwargs(), store=store)
+        # The value is built before the campaign is planned, so a warm store
+        # that would execute no cell cannot hide the bad knob.
+        with pytest.raises(ExperimentError):
+            run_campaign(
+                **_campaign_kwargs(),
+                store=store,
+                instrumentation=Instrumentation(
+                    trace=True, trace_limit=0, metrics_interval=0.0
+                ),
+            )
+
+    def test_outputs_imply_what_they_need(self, tmp_path):
+        with pytest.raises(ExperimentError, match="trace"):
+            api.profile("diurnal-week", tasks=_TASKS, limit=10)
+        with pytest.raises(ExperimentError, match="metrics"):
+            api.profile("diurnal-week", tasks=_TASKS, interval=60.0)
+        with pytest.raises(ExperimentError, match="Chrome"):
+            api.profile(
+                "diurnal-week", tasks=_TASKS, chrome_path=str(tmp_path / "c.json")
+            )
+
 
 class TestCli:
-    def test_profile_run_and_trace_from_the_shell(self, tmp_path, capsys):
+    def test_profile_from_the_shell(self, tmp_path, capsys):
         from repro.cli import main
 
         json_path = str(tmp_path / "perf.json")
-        assert main([
-            "profile", "run", "diurnal-week",
-            "--tasks", str(_TASKS), "--heuristics", "mct", "--json", json_path,
-        ]) == 0
-        assert "perf report: diurnal-week" in capsys.readouterr().out
-        assert json.load(open(json_path))["schema"] == "perf-report/v1"
-
         out = str(tmp_path / "trace.jsonl")
+        metrics = str(tmp_path / "metrics.jsonl")
         assert main([
-            "profile", "trace", "diurnal-week",
-            "--tasks", str(_TASKS), "--heuristics", "mct", "--out", out,
+            "profile", "diurnal-week",
+            "--tasks", str(_TASKS), "--heuristics", "mct", "--json", json_path,
+            "--trace", out, "--metrics", metrics, "--interval", "120",
         ]) == 0
-        assert "trace: diurnal-week" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "perf report: diurnal-week" in captured.out
+        assert "trace: " in captured.out
+        assert f"wrote {out}" in captured.err
+        assert json.load(open(json_path))["schema"] == "perf-report/v1"
         assert len(open(out).read().splitlines()) > 0
+        assert json.loads(open(metrics).readline())["schema"] == "metrics/v1"
 
-    def test_profile_rejects_bad_jobs(self):
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--jobs", "0"],
+            ["--trace", "t.jsonl", "--limit", "0"],
+            ["--metrics", "m.jsonl", "--interval", "0"],
+            ["--heuristics", "mct,mct"],
+        ],
+    )
+    def test_profile_rejects_bad_options(self, extra):
         from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["profile", "run", "diurnal-week", "--jobs", "0"])
+            main(["profile", "diurnal-week", "--tasks", str(_TASKS)] + extra)
+
+    def test_retired_subcommands_are_gone(self):
+        from repro.cli import main
+
+        for argv in (["profile", "trace", "diurnal-week"], ["bench", "run"]):
+            with pytest.raises(SystemExit):
+                main(argv)
