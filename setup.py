@@ -1,9 +1,9 @@
 """Setuptools shim.
 
-The canonical project metadata lives in ``pyproject.toml``; this file only
-exists so that the package can be installed in editable mode on minimal,
-offline environments where the ``wheel`` package (required by the PEP 517
-editable path of older setuptools) is unavailable::
+This file is the project's only metadata source (there is no
+``pyproject.toml``).  It keeps the package installable in editable mode on
+minimal, offline environments where the ``wheel`` package (required by the
+PEP 517 editable path of older setuptools) is unavailable::
 
     pip install -e . --no-build-isolation --no-use-pep517
 """

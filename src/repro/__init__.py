@@ -2,8 +2,9 @@
 
 The library is organised in five layers (see DESIGN.md):
 
-* :mod:`repro.simulation` — a SimPy-style discrete-event engine and the fluid
-  processor-sharing model of Section 2.3;
+* :mod:`repro.simulation` — a callback calendar (the simulation clock plus
+  callbacks scheduled at future dates) and the fluid processor-sharing model
+  of Section 2.3;
 * :mod:`repro.platform` — the simulated NetSolve middleware (servers, agent,
   monitors, clients, faults): the ground truth;
 * :mod:`repro.core` — the paper's contribution: the Historical Trace Manager,

@@ -11,9 +11,7 @@ __all__ = [
     "ReproError",
     "SimulationError",
     "EmptySchedule",
-    "StopProcess",
     "PlatformError",
-    "ServerCollapsed",
     "TaskRejected",
     "SchedulingError",
     "NoCandidateServer",
@@ -22,9 +20,7 @@ __all__ = [
     "ExperimentError",
     "ResultsError",
     "StoreError",
-    "MetricsError",
     "StatsError",
-    "ValidationFailure",
     "AnalysisError",
 ]
 
@@ -44,36 +40,11 @@ class EmptySchedule(SimulationError):
     """Raised by :meth:`repro.simulation.Environment.step` when no event is left."""
 
 
-class StopProcess(SimulationError):
-    """Raised inside a process generator to terminate it with a return value."""
-
-    def __init__(self, value=None):
-        super().__init__(value)
-        self.value = value
-
-
 # --------------------------------------------------------------------------- #
 # Platform / middleware
 # --------------------------------------------------------------------------- #
 class PlatformError(ReproError):
     """Error raised by the platform (servers, links, agent, clients) model."""
-
-
-class ServerCollapsed(PlatformError):
-    """A server exhausted its memory + swap and collapsed.
-
-    All tasks resident on the server at collapse time fail with this error as
-    their failure cause.
-    """
-
-    def __init__(self, server_name: str, at: float, resident_mb: float):
-        super().__init__(
-            f"server {server_name!r} collapsed at t={at:.2f}s "
-            f"(resident memory {resident_mb:.1f} MB)"
-        )
-        self.server_name = server_name
-        self.at = at
-        self.resident_mb = resident_mb
 
 
 class TaskRejected(PlatformError):
@@ -138,18 +109,10 @@ class StoreError(ReproError):
 
 
 # --------------------------------------------------------------------------- #
-# Metrics / statistics
+# Statistics
 # --------------------------------------------------------------------------- #
-class MetricsError(ReproError):
-    """Error raised by the metrics layer (aggregation, comparison, reports)."""
-
-
 class StatsError(ReproError):
     """Error raised by the statistics subsystem (:mod:`repro.stats`)."""
-
-
-class ValidationFailure(StatsError):
-    """An analytical validation check failed (simulator vs closed form)."""
 
 
 # --------------------------------------------------------------------------- #

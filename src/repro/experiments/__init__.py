@@ -24,7 +24,7 @@ from .campaign import (
 )
 from .fig1 import Fig1Result, run_fig1
 from .registry import EXPERIMENTS, ExperimentEntry, experiment_ids, get_experiment, run_experiment
-from .runner import HeuristicOutcome, TableResult, run_single, run_table_experiment
+from .runner import HeuristicOutcome, TableResult, run_single
 from .set1 import run_table5, run_table6
 from .set2 import run_table7, run_table8
 from .validation import ValidationResult, ValidationRow, run_table1, table1_metatasks
@@ -43,7 +43,6 @@ __all__ = [
     "TableResult",
     "HeuristicOutcome",
     "run_single",
-    "run_table_experiment",
     "run_campaign",
     "RunCell",
     "CellWork",

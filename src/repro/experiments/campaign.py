@@ -26,9 +26,7 @@ This module makes that structure explicit:
   (MCT) cells are planned first so "tasks finishing sooner" comparisons pair
   each run with the reference run of the *same* (metatask, repetition) cell.
 
-The documented entry points over this engine live in :mod:`repro.api`;
-``run_table_experiment`` in :mod:`repro.experiments.runner` remains as a
-deprecated shim.
+The documented entry points over this engine live in :mod:`repro.api`.
 """
 
 from __future__ import annotations

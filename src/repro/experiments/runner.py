@@ -8,17 +8,15 @@ and the number of tasks that finish sooner than under NetSolve's MCT.
 Since the unified results API, a :class:`TableResult` is a *view*: the
 numbers live in provenance-stamped :class:`~repro.results.RunRecord` data
 carried on :attr:`TableResult.result_set`, and ``columns`` equals
-``result_set.pivot().columns``.  :func:`run_table_experiment` is kept as a
-deprecated shim over the campaign engine — new code should call
+``result_set.pivot().columns``.  Tables are produced by
 :func:`repro.api.run` (or :func:`repro.experiments.campaign.run_campaign`
 directly).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..core.heuristics import Heuristic
 from ..metrics.aggregate import aggregate_values
@@ -30,9 +28,9 @@ from ..platform.spec import PlatformSpec
 from ..results import ResultSet
 from ..workload.metatask import Metatask
 from ..workload.problems import PAPER_CATALOGUE, ProblemCatalogue
-from .config import ExperimentConfig, PAPER_HEURISTIC_ORDER
+from .config import PAPER_HEURISTIC_ORDER
 
-__all__ = ["HeuristicOutcome", "TableResult", "run_single", "run_table_experiment", "TABLE_ROW_ORDER"]
+__all__ = ["HeuristicOutcome", "TableResult", "run_single", "TABLE_ROW_ORDER"]
 
 #: Row order mirroring the layout of Tables 5–8.
 TABLE_ROW_ORDER = (
@@ -170,44 +168,3 @@ def run_single(
         config=middleware_config,
     )
     return middleware.run(metatask)
-
-
-def run_table_experiment(
-    experiment_id: str,
-    title: str,
-    platform: PlatformSpec,
-    metatasks: Sequence[Metatask],
-    config: ExperimentConfig,
-    catalogue: ProblemCatalogue = PAPER_CATALOGUE,
-    heuristic_factories: Optional[Mapping[str, Heuristic]] = None,
-    notes: Optional[List[str]] = None,
-    jobs: Optional[int] = None,
-) -> TableResult:
-    """Deprecated shim over the campaign engine.
-
-    .. deprecated:: 1.1
-        Call :func:`repro.api.run` (for registered experiments) or
-        :func:`repro.experiments.campaign.run_campaign` (for custom table
-        campaigns) instead; both return the same :class:`TableResult`, record
-        for record.  This wrapper only exists so pre-results-API scripts keep
-        working, and will be removed in a future major version.
-    """
-    warnings.warn(
-        "run_table_experiment() is deprecated; use repro.api.run() or "
-        "repro.experiments.campaign.run_campaign() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .campaign import run_campaign
-
-    return run_campaign(
-        experiment_id=experiment_id,
-        title=title,
-        platform=platform,
-        metatasks=metatasks,
-        config=config,
-        catalogue=catalogue,
-        heuristic_factories=heuristic_factories,
-        notes=notes,
-        jobs=jobs,
-    )

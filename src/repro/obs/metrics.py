@@ -110,7 +110,7 @@ class MetricSeries:
 class MetricsSampler:
     """Fixed-interval sampler attached to one middleware run.
 
-    The middleware drives it: a self-rescheduling virtual-time process calls
+    The middleware drives it: a self-rescheduling virtual-time callback calls
     :meth:`record` with a fully built row every ``interval`` seconds, and the
     completion hook feeds :meth:`note_completion` so the sampler can answer
     sliding-window throughput / latency questions at sample time.  The

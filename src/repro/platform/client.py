@@ -3,17 +3,18 @@
 A client "is a program that requests for computational resources.  It asks
 the agent to find a set of the most suitable servers that are able to solve
 its problems" (Section 2.1), then performs an RPC-like call to the chosen
-server.  In the simulation, a :class:`Client` is a process that walks through
-the tasks of a metatask in arrival order, submits each one to the middleware
-at its arrival date, and records nothing else — every observable quantity
-lives on the :class:`~repro.workload.tasks.Task` objects themselves.
+server.  In the simulation, a :class:`Client` walks through the tasks of a
+metatask in arrival order, submits each one to the middleware at its arrival
+date (one calendar callback per wait), and records nothing else — every
+observable quantity lives on the :class:`~repro.workload.tasks.Task` objects
+themselves.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from ..simulation import Environment
+from ..simulation import URGENT, Environment
 from ..workload.tasks import Task
 
 __all__ = ["Client"]
@@ -30,7 +31,7 @@ class Client:
         Client name (e.g. ``"zanzibar"``); stored on the submitted tasks.
     tasks:
         The tasks to submit (their :attr:`~repro.workload.tasks.Task.arrival`
-        dates drive the submission process).
+        dates drive the submissions).
     submit:
         Callback invoked with each task at its arrival date — in practice
         :meth:`repro.platform.middleware.GridMiddleware.submit`.
@@ -50,16 +51,26 @@ class Client:
         self.submitted = 0
         for task in self.tasks:
             task.client = name
-        self.process = env.process(self._run(), name=f"client-{name}")
+        env.call_in(0.0, self._submit_due, priority=URGENT)
 
-    def _run(self):
-        for task in self.tasks:
-            delay = task.arrival - self.env.now
+    def _submit_due(self) -> None:
+        """Submit every task already due, then wait for the next arrival."""
+        while self.submitted < len(self.tasks):
+            delay = self.tasks[self.submitted].arrival - self.env.now
             if delay > 0:
-                yield self.env.timeout(delay)
-            self._submit(task)
-            self.submitted += 1
-        return self.submitted
+                self.env.call_in(delay, self._submit_waited)
+                return
+            self._submit_next()
+
+    def _submit_waited(self) -> None:
+        # The awaited task is due by construction: ``now + (arrival - now)``
+        # need not equal ``arrival`` bit for bit, so its delay is not re-tested.
+        self._submit_next()
+        self._submit_due()
+
+    def _submit_next(self) -> None:
+        self._submit(self.tasks[self.submitted])
+        self.submitted += 1
 
     def __repr__(self) -> str:
         return f"<Client {self.name} submitted={self.submitted}/{len(self.tasks)}>"

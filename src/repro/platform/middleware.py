@@ -15,13 +15,14 @@ experiments — see DESIGN.md §2 for the substitution rationale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.heuristics import Heuristic, create_heuristic
 from ..core.htm import HistoricalTraceManager
 from ..errors import NoCandidateServer, PlatformError, TaskRejected
 from ..obs import MetricSeries, MetricsSampler, TraceEvent, Tracer, middleware_counters
-from ..simulation import Environment, RandomStreams
+from ..simulation import URGENT, Environment, RandomStreams
 from ..workload.metatask import Metatask
 from ..workload.problems import ProblemCatalogue, PAPER_CATALOGUE
 from ..workload.tasks import Task, TaskStatus
@@ -250,13 +251,12 @@ class GridMiddleware:
         self._submitted_count = 0
         self._completed_count = 0
         self._failed_count = 0
-        self._finished_event = None
         self._ran = False
 
     def _wire_fault_schedule(self) -> None:
         """Turn the configured fault schedule into simulation-clock callbacks.
 
-        Every window boundary becomes a timeout on the environment's calendar,
+        Every window boundary becomes a callback on the environment's calendar,
         so the schedule replays identically under every heuristic and every
         campaign executor (it depends on the simulated clock only).
         """
@@ -269,7 +269,7 @@ class GridMiddleware:
                 f"fault schedule targets unknown servers {sorted(unknown)}; "
                 f"platform has {sorted(self.servers)}"
             )
-        # Same-instant timeouts fire in creation order, so the wiring order
+        # Same-instant callbacks fire in creation order, so the wiring order
         # encodes the boundary semantics of back-to-back windows (declaration
         # order is not required to be sorted):
         # * slowdowns interleave start/end in chronological order — the old
@@ -285,49 +285,48 @@ class GridMiddleware:
         unknown_kinds = [w for w in ordered if not isinstance(w, (SlowdownWindow, OutageWindow))]
         if unknown_kinds:  # pragma: no cover - defensive
             raise PlatformError(f"unknown fault window type {type(unknown_kinds[0])!r}")
-        tracer = self.tracer
         for window in slowdowns:
             server = self.servers[window.server]
-            start = self.env.timeout(window.start_s)
-            start.callbacks.append(
-                lambda _evt, s=server, f=window.factor: s.set_slowdown(f)
+            self._fault_at(
+                window.start_s,
+                partial(server.set_slowdown, window.factor),
+                "fault.slowdown.begin",
+                server=window.server,
+                factor=window.factor,
             )
-            if tracer is not None:
-                start.callbacks.append(
-                    lambda _evt, t=window.start_s, n=window.server, f=window.factor: tracer.emit(
-                        t, "fault.slowdown.begin", server=n, factor=f
-                    )
-                )
-            end = self.env.timeout(window.end_s)
-            end.callbacks.append(lambda _evt, s=server: s.set_slowdown(1.0))
-            if tracer is not None:
-                end.callbacks.append(
-                    lambda _evt, t=window.end_s, n=window.server: tracer.emit(
-                        t, "fault.slowdown.end", server=n
-                    )
-                )
+            self._fault_at(
+                window.end_s,
+                partial(server.set_slowdown, 1.0),
+                "fault.slowdown.end",
+                server=window.server,
+            )
         for window in outages:
-            start = self.env.timeout(window.start_s)
-            start.callbacks.append(
-                lambda _evt, s=self.servers[window.server]: s.begin_outage()
+            self._fault_at(
+                window.start_s,
+                self.servers[window.server].begin_outage,
+                "fault.outage.begin",
+                server=window.server,
             )
-            if tracer is not None:
-                start.callbacks.append(
-                    lambda _evt, t=window.start_s, n=window.server: tracer.emit(
-                        t, "fault.outage.begin", server=n
-                    )
-                )
         for window in outages:
-            end = self.env.timeout(window.end_s)
-            end.callbacks.append(
-                lambda _evt, s=self.servers[window.server]: s.end_outage()
+            self._fault_at(
+                window.end_s,
+                self.servers[window.server].end_outage,
+                "fault.outage.end",
+                server=window.server,
             )
-            if tracer is not None:
-                end.callbacks.append(
-                    lambda _evt, t=window.end_s, n=window.server: tracer.emit(
-                        t, "fault.outage.end", server=n
-                    )
-                )
+
+    def _fault_at(self, date: float, action: Callable[[], None], kind: str, **fields) -> None:
+        """Run ``action`` at ``date``; with a tracer, emit ``kind`` right after it."""
+        tracer = self.tracer
+        if tracer is None:
+            self.env.call_in(date, action)
+            return
+
+        def fire() -> None:
+            action()
+            tracer.emit(date, kind, **fields)
+
+        self.env.call_in(date, fire)
 
     # ------------------------------------------------------------------ #
     # setup helpers
@@ -417,8 +416,7 @@ class GridMiddleware:
             # fires; flipping it eagerly here made the task misreport as
             # submitted for ``retry_delay_s`` seconds, so a concurrent
             # terminal check could miscount it as in flight.
-            timeout = self.env.timeout(delay)
-            timeout.callbacks.append(lambda _evt, t=task: self._redispatch(t))
+            self.env.call_in(delay, partial(self._redispatch, task))
         else:
             self._task_terminal(task)
 
@@ -443,15 +441,19 @@ class GridMiddleware:
             self._completed_count += 1
         else:
             self._failed_count += 1
-        if self._finished_event is not None and self._terminal >= self._expected:
-            if not self._finished_event.triggered:
-                self._finished_event.succeed()
+        if self._terminal == self._expected:
+            self.env.call_in(0.0, self._end_run)
+
+    def _end_run(self) -> None:
+        """Stop the run one zero-delay hop later (the finish and the horizon
+        both go through here, so callbacks already due at this date run first)."""
+        self.env.call_in(0.0, self.env.stop)
 
     # ------------------------------------------------------------------ #
     # metric sampling
     # ------------------------------------------------------------------ #
-    def _metrics_loop(self):
-        """Self-rescheduling sampling process (the LoadMonitor idiom).
+    def _sample_tick(self) -> None:
+        """Self-rescheduling sampling callback (the LoadMonitor idiom).
 
         Samples at t=0 and then every ``sampler.interval`` virtual seconds.
         The loop only ever *reads* state, so the extra calendar entries can
@@ -459,9 +461,8 @@ class GridMiddleware:
         unsampled run's, and the samples themselves are byte-identical at
         any ``--jobs`` level.
         """
-        while True:
-            self._take_sample()
-            yield self.env.timeout(self.sampler.interval)
+        self._take_sample()
+        self.env.call_in(self.sampler.interval, self._sample_tick)
 
     def _take_sample(self) -> None:
         """Append one metric row at the current virtual time (idempotent)."""
@@ -526,13 +527,11 @@ class GridMiddleware:
 
         self._tasks = tasks
         self._expected = len(tasks)
-        self._finished_event = self.env.event()
         Client(self.env, client_name, tasks, submit=self.submit)
         if self.sampler is not None:
-            self.env.process(self._metrics_loop(), name="metrics-sampler")
-
-        horizon = self.env.timeout(self.config.max_horizon_s)
-        self.env.run(until=self.env.any_of([self._finished_event, horizon]))
+            self.env.call_in(0.0, self._sample_tick, priority=URGENT)
+        self.env.call_in(self.config.max_horizon_s, self._end_run)
+        self.env.run()
 
         truncated = self._terminal < self._expected
         if truncated:

@@ -7,20 +7,21 @@ reports; their *staleness* — a report only reflects the state at the time it
 was sent, and the load is assumed constant afterwards — is precisely the
 weakness the HTM removes.
 
-:class:`LoadMonitor` is a simulation process attached to one server: every
-``period`` seconds (plus optional jitter) it samples the server's smoothed
-load average and delivers a :class:`LoadReport` to the agent after a
+:class:`LoadMonitor` is a self-rescheduling callback attached to one server:
+every ``period`` seconds (plus optional jitter) it samples the server's
+smoothed load average and delivers a :class:`LoadReport` to the agent after a
 configurable network delay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from ..simulation import Environment
+from ..simulation import URGENT, Environment
 from .server import ComputeServer
 
 __all__ = ["LoadReport", "LoadMonitor"]
@@ -90,7 +91,9 @@ class LoadMonitor:
         # campaign/experiment path passes a generator seeded from the root seed
         self._rng = rng if rng is not None else np.random.default_rng()
         self.reports_sent = 0
-        self.process = env.process(self._run(), name=f"monitor-{server.name}")
+        # An initial report at (roughly) time zero, as servers register with
+        # their state when they join the agent.
+        env.call_in(0.0, self._tick, priority=URGENT)
 
     def _emit(self) -> None:
         report = LoadReport(
@@ -105,16 +108,12 @@ class LoadMonitor:
         if self.delay <= 0:
             self.deliver(report)
         else:
-            timeout = self.env.timeout(self.delay)
-            timeout.callbacks.append(lambda _evt, rep=report: self.deliver(rep))
+            self.env.call_in(self.delay, partial(self.deliver, report))
 
-    def _run(self):
-        # An initial report at (roughly) time zero, as servers register with
-        # their state when they join the agent.
+    def _tick(self) -> None:
+        """Emit one report, then schedule the next one a (jittered) period later."""
         self._emit()
-        while True:
-            period = self.period
-            if self.jitter > 0:
-                period = max(0.1, period + float(self._rng.uniform(-self.jitter, self.jitter)))
-            yield self.env.timeout(period)
-            self._emit()
+        period = self.period
+        if self.jitter > 0:
+            period = max(0.1, period + float(self._rng.uniform(-self.jitter, self.jitter)))
+        self.env.call_in(period, self._tick)

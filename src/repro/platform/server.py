@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
 from ..errors import PlatformError, TaskRejected
-from ..simulation import Environment, FluidEvent, FluidNetwork, FluidStage
+from ..simulation import URGENT, Environment, FluidEvent, FluidNetwork, FluidStage
 from ..workload.problems import PhaseCosts, ProblemCatalogue
 from ..workload.tasks import Task
 from .faults import MemoryModel, SpeedNoiseModel
@@ -163,7 +164,7 @@ class ComputeServer:
         self.on_recovery: List[Callable[["ComputeServer", float], None]] = []
 
         if self.noise_model is not None and self.noise_model.enabled:
-            self.env.process(self._noise_process(), name=f"noise-{self.name}")
+            env.call_in(0.0, self._schedule_noise_tick, priority=URGENT)
 
     # ------------------------------------------------------------------ #
     # introspection (used by monitors and tests, never by heuristics directly)
@@ -355,8 +356,7 @@ class ComputeServer:
         self._go_down(now, "collapsed (out of memory)")
         # Schedule the recovery.
         self._collapse_recovery_at = now + self.memory_model.recovery_s
-        recovery = self.env.timeout(self.memory_model.recovery_s)
-        recovery.callbacks.append(lambda _evt: self._recover_from_collapse())
+        self.env.call_in(self.memory_model.recovery_s, self._recover_from_collapse)
 
     def _recover_from_collapse(self) -> None:
         """The memory model's mandated downtime is over; recover unless a
@@ -431,15 +431,17 @@ class ComputeServer:
             )
             self._handle_events(events)
 
-    def _noise_process(self):
-        """Background process redrawing the CPU speed noise factor."""
+    def _schedule_noise_tick(self) -> None:
         assert self.noise_model is not None
-        while True:
-            yield self.env.timeout(self.noise_model.period_s)
-            self._advance(self.env.now)
-            self._noise_factor = self.noise_model.draw_factor(self._rng)
-            self._refresh_cpu_capacity()
-            self._sync_wakeup()
+        self.env.call_in(self.noise_model.period_s, self._noise_tick)
+
+    def _noise_tick(self) -> None:
+        """Redraw the CPU speed noise factor, then schedule the next redraw."""
+        self._advance(self.env.now)
+        self._noise_factor = self.noise_model.draw_factor(self._rng)
+        self._refresh_cpu_capacity()
+        self._sync_wakeup()
+        self._schedule_noise_tick()
 
     # ------------------------------------------------------------------ #
     # wakeup bookkeeping
@@ -450,10 +452,9 @@ class ComputeServer:
         if t_next == math.inf:
             return
         self._wake_token += 1
-        token = self._wake_token
-        delay = max(0.0, t_next - self.env.now)
-        timeout = self.env.timeout(delay)
-        timeout.callbacks.append(lambda _evt, tok=token: self._on_wakeup(tok))
+        self.env.call_in(
+            max(0.0, t_next - self.env.now), partial(self._on_wakeup, self._wake_token)
+        )
 
     def _on_wakeup(self, token: int) -> None:
         if token != self._wake_token:

@@ -16,8 +16,7 @@ general scheduling-scenario lab:
 * :func:`run_sweep` (:mod:`repro.scenarios.sweep`) runs a heuristic ×
   scenario grid through the campaign engine and ranks the heuristics per
   regime — byte-identical at any ``--jobs`` level, with every run's record
-  collected into one persistable :class:`~repro.results.ResultSet`
-  (``sweep_scenarios`` is the deprecated alias).
+  collected into one persistable :class:`~repro.results.ResultSet`.
 """
 
 from .platforms import homogeneous_farm, power_law_farm, replicated_paper_farm
@@ -30,7 +29,7 @@ from .scenario import (
     scenario_names,
     scenario_seed_offset,
 )
-from .sweep import ScenarioSweepResult, run_sweep, sweep_scenarios
+from .sweep import ScenarioSweepResult, run_sweep
 
 __all__ = [
     "Scenario",
@@ -42,7 +41,6 @@ __all__ = [
     "run_scenario",
     "ScenarioSweepResult",
     "run_sweep",
-    "sweep_scenarios",
     "homogeneous_farm",
     "power_law_farm",
     "replicated_paper_farm",

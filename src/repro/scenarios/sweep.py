@@ -14,13 +14,11 @@ combined :class:`~repro.results.ResultSet`
 ``result_set.save("sweep.jsonl")`` and every per-scenario table re-renders
 from the loaded records.
 
-The documented entry point is :func:`repro.api.sweep`;
-:func:`sweep_scenarios` remains as a deprecated alias.
+The documented entry point is :func:`repro.api.sweep`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence
 
@@ -32,7 +30,7 @@ from ..metrics.report import render_markdown_table, render_table
 from ..results import CampaignObserver, ResultSet
 from .scenario import get_scenario, run_scenario, scenario_names
 
-__all__ = ["ScenarioSweepResult", "run_sweep", "sweep_scenarios"]
+__all__ = ["ScenarioSweepResult", "run_sweep"]
 
 #: Metric rows every campaign table produces — the valid ranking tie-breaks
 #: ("completed tasks" dominates the ranking and is not itself a tie-break).
@@ -165,23 +163,3 @@ def run_sweep(
         },
     )
     return result
-
-
-def sweep_scenarios(
-    names: Optional[Sequence[str]] = None,
-    config: Optional[ExperimentConfig] = None,
-    jobs: Optional[int] = None,
-    metric: str = "sumflow",
-) -> ScenarioSweepResult:
-    """Deprecated alias of :func:`run_sweep`.
-
-    .. deprecated:: 1.1
-        Call :func:`repro.api.sweep` (or :func:`run_sweep`) instead; the
-        return value is identical, record for record.
-    """
-    warnings.warn(
-        "sweep_scenarios() is deprecated; use repro.api.sweep() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_sweep(names=names, config=config, jobs=jobs, metric=metric)

@@ -1,14 +1,11 @@
 """Discrete-event simulation substrate.
 
-This package is a self-contained, SimPy-style discrete-event simulation
-engine plus the fluid processor-sharing models that the rest of the library
-builds upon:
+This package holds a small callback calendar plus the fluid processor-sharing
+models that the rest of the library builds upon:
 
-* :class:`Environment`, :class:`Process`, :class:`Event`, :class:`Timeout`,
-  :class:`AllOf`, :class:`AnyOf`, :class:`Interrupt` — the event calendar and
-  generator-based processes;
-* :class:`Resource`, :class:`Container`, :class:`Store` — classic shared
-  resources;
+* :class:`Environment` — the simulation clock and a calendar of callbacks
+  scheduled with :meth:`Environment.call_in` (:data:`URGENT` / :data:`NORMAL`
+  order callbacks due at the same date);
 * :class:`ProcessorSharingQueue`, :class:`FluidNetwork` — the egalitarian
   time-sharing model of the paper (Section 2.3), implemented in *virtual
   time* with heap-based event scheduling (O(log J) per event; see
@@ -17,16 +14,7 @@ builds upon:
 * :class:`RandomStreams` — reproducible named random streams.
 """
 
-from .engine import Environment, Infinity
-from .events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    Interrupt,
-    Timeout,
-)
+from .engine import NORMAL, URGENT, Environment, Infinity
 from .fluid import (
     EPSILON,
     FluidEvent,
@@ -36,25 +24,13 @@ from .fluid import (
     ProcessorSharingQueue,
     PSJob,
 )
-from .process import Process
-from .resources import Container, Request, Resource, Store
 from .rng import RandomStreams
 
 __all__ = [
     "Environment",
     "Infinity",
-    "Event",
-    "Timeout",
-    "Condition",
-    "ConditionValue",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "Process",
-    "Resource",
-    "Request",
-    "Container",
-    "Store",
+    "URGENT",
+    "NORMAL",
     "EPSILON",
     "PSJob",
     "ProcessorSharingQueue",

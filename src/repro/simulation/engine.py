@@ -1,180 +1,99 @@
-"""The discrete-event simulation environment.
+"""The callback calendar of the discrete-event simulation.
 
-:class:`Environment` keeps the simulation clock and the event calendar (a
-binary heap ordered by ``(time, priority, insertion index)`` so that the
-execution order is fully deterministic).  It exposes SimPy-compatible factory
-helpers (``process``, ``timeout``, ``event``, ``all_of``, ``any_of``) so that
-models written against SimPy port over directly.
+:class:`Environment` keeps the simulation clock and a calendar of callbacks
+due at future dates: a binary heap ordered by ``(time, priority, insertion
+index)``, so the execution order is fully deterministic.  Everything the
+platform model schedules (arrivals, monitor reports, server wakeups,
+collapse recoveries, retries) is a zero-argument callable handed to
+:meth:`Environment.call_in`; periodic activities reschedule themselves.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from ..errors import EmptySchedule, SimulationError
-from .events import AllOf, AnyOf, Event, NORMAL, PENDING, Timeout, URGENT
-from .process import Process, ProcessGenerator
+from ..errors import EmptySchedule
 
-__all__ = ["Environment", "Infinity"]
+__all__ = ["Environment", "Infinity", "URGENT", "NORMAL"]
 
 #: Convenience alias used for "run forever" bounds.
 Infinity = float("inf")
 
+#: Priority of urgent callbacks (run before normal ones due at the same date).
+URGENT = 0
+#: Priority of normal callbacks.
+NORMAL = 1
+
 
 class Environment:
-    """Execution environment of a discrete-event simulation.
+    """Simulation clock plus a calendar of callbacks due at future dates.
 
-    Parameters
-    ----------
-    initial_time:
-        Starting value of the simulation clock (defaults to ``0.0``).
-
-    Notes
-    -----
-    The event calendar orders events by time, then priority (urgent events
-    first), then by insertion order, making runs reproducible bit-for-bit for
-    a given model and seed.
+    Callbacks due at the same date run by priority (:data:`URGENT` first),
+    then in the order they were scheduled, making runs reproducible
+    bit-for-bit for a given model and seed.
     """
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[Tuple[float, int, int, Callable[[], None]]] = []
         self._eid = 0
-        self._active_proc: Optional[Process] = None
+        self._stopped = False
 
-    # ------------------------------------------------------------------ #
-    # clock & calendar
-    # ------------------------------------------------------------------ #
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (``None`` between steps)."""
-        return self._active_proc
-
-    def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
-        """Insert ``event`` into the calendar ``delay`` time units from now."""
+    def call_in(self, delay: float, fn: Callable[[], None], priority: int = NORMAL) -> None:
+        """Schedule ``fn()`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, fn))
         self._eid += 1
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the calendar is empty."""
+        """Date of the next scheduled callback, or ``inf`` if the calendar is empty."""
         return self._queue[0][0] if self._queue else Infinity
 
     def step(self) -> None:
-        """Process the next event of the calendar.
+        """Advance the clock to the next callback and run it.
 
         Raises
         ------
         EmptySchedule
-            If there is no event left.
+            If the calendar is empty.
         """
         try:
-            self._now, _, _, event = heapq.heappop(self._queue)
+            self._now, _, _, fn = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule("the event calendar is empty") from None
+        fn()
 
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:  # pragma: no cover - defensive
-            raise SimulationError(f"event {event!r} was scheduled twice")
-        for callback in callbacks:
-            callback(event)
+    def stop(self) -> None:
+        """End the current :meth:`run` once the running callback returns."""
+        self._stopped = True
 
-        if not event._ok and not event.defused:
-            # A failed event that nobody handled: surface the error.
-            exc = event._value
-            raise exc
+    def run(self, until: Optional[float] = None) -> None:
+        """Run callbacks until :meth:`stop`, an empty calendar or ``until``.
 
-    # ------------------------------------------------------------------ #
-    # running
-    # ------------------------------------------------------------------ #
-    def run(self, until: Any = None) -> Any:
-        """Run the simulation.
-
-        Parameters
-        ----------
-        until:
-            * ``None`` — run until the calendar is exhausted;
-            * a number — run until the clock reaches that time;
-            * an :class:`~repro.simulation.events.Event` — run until that
-              event is processed, and return its value.
-
-        Returns
-        -------
-        The value of ``until`` when it is an event, ``None`` otherwise.
+        With ``until``, every callback due at or before that date runs and
+        the clock is then left at ``until`` (unless :meth:`stop` ended the
+        run earlier).
         """
-        at: Optional[float] = None
-        stop_event: Optional[Event] = None
-
-        if until is not None:
-            if isinstance(until, Event):
-                stop_event = until
-                if stop_event.callbacks is None:
-                    # Already processed.
-                    if stop_event._ok:
-                        return stop_event._value
-                    raise stop_event._value
-                marker = {"done": False}
-                stop_event.callbacks.append(lambda _evt: marker.__setitem__("done", True))
-            else:
-                at = float(until)
-                if at < self._now:
-                    raise ValueError(
-                        f"until ({at}) must not be earlier than the current time ({self._now})"
-                    )
-
-        try:
-            while True:
-                if stop_event is not None and stop_event.processed:
-                    break
-                if at is not None and self.peek() > at:
-                    self._now = at
-                    break
-                self.step()
-        except EmptySchedule:
-            if stop_event is not None and not stop_event.triggered:
-                raise SimulationError(
-                    "the simulation ran out of events before the awaited event triggered"
-                ) from None
-
-        if stop_event is not None:
-            if stop_event._value is PENDING:
-                raise SimulationError(
-                    "the simulation stopped before the awaited event triggered"
-                )
-            if stop_event._ok:
-                return stop_event._value
-            raise stop_event._value
-        return None
-
-    # ------------------------------------------------------------------ #
-    # factories
-    # ------------------------------------------------------------------ #
-    def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
-        """Start a new :class:`~repro.simulation.process.Process`."""
-        return Process(self, generator, name=name)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create a :class:`~repro.simulation.events.Timeout` event."""
-        return Timeout(self, delay, value=value)
-
-    def event(self) -> Event:
-        """Create a plain, untriggered :class:`~repro.simulation.events.Event`."""
-        return Event(self)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Create a condition that waits for all the ``events``."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Create a condition that waits for any of the ``events``."""
-        return AnyOf(self, events)
+        limit = Infinity if until is None else float(until)
+        if limit < self._now:
+            raise ValueError(
+                f"until ({limit}) must not be earlier than the current time ({self._now})"
+            )
+        self._stopped = False
+        queue = self._queue
+        while queue and queue[0][0] <= limit:
+            self.step()
+            if self._stopped:
+                return
+        if limit != Infinity:
+            self._now = limit
 
     def __repr__(self) -> str:
         return f"<Environment now={self._now} pending={len(self._queue)}>"

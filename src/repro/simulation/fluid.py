@@ -282,6 +282,8 @@ class ProcessorSharingQueue:
 
         Returns the list of ``(completion_time, key)`` pairs for the jobs that
         completed in the interval, in chronological (then insertion) order.
+        A job due within ``EPSILON`` after ``now`` completes at its own date,
+        so the clock may land up to ``EPSILON`` past ``now``.
         """
         if now < self._time - 1e-6:
             raise SimulationError(

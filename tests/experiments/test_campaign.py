@@ -21,7 +21,6 @@ from repro.experiments import (
     run_campaign,
 )
 from repro.experiments.campaign import CellWork, execute_cell
-from repro.experiments.runner import run_table_experiment
 from repro.platform.middleware import MiddlewareConfig
 from repro.workload.problems import PAPER_CATALOGUE
 from repro.workload.testbed import first_set_platform, matmul_metatask
@@ -161,15 +160,6 @@ class TestDeterminism:
             ] == [
                 sorted(t.completion_time for t in r.tasks if t.completed) for r in runs_b
             ]
-
-    def test_run_table_experiment_is_a_deprecated_delegating_shim(self):
-        config = tiny_config()
-        platform = first_set_platform()
-        metatask = tiny_metatask()
-        with pytest.warns(DeprecationWarning, match="run_table_experiment"):
-            via_runner = run_table_experiment("t", "t", platform, [metatask], config)
-        via_campaign = run_campaign("t", "t", platform, [metatask], config)
-        assert via_runner.columns == via_campaign.columns
 
     def test_config_jobs_is_honoured(self):
         config = tiny_config(jobs=2)

@@ -110,6 +110,13 @@ class TestMiddlewareSampling:
         ]
         assert plain.counters == sampled.counters
 
+    def test_samples_fall_on_the_interval_grid(self, first_platform, small_matmul_metatask):
+        result = self._run(first_platform, small_matmul_metatask, MetricsSampler(60.0))
+        times = result.metric_series.times
+        # Ticks at 0, 60, 120, ... then one closing sample at the run's end.
+        assert times[:-1] == [60.0 * i for i in range(len(times) - 1)]
+        assert times[-2] < times[-1] == result.duration
+
     def test_unsampled_run_has_no_series(self, first_platform, small_matmul_metatask):
         assert self._run(first_platform, small_matmul_metatask).metric_series is None
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.heuristics import HmctHeuristic, MctHeuristic
@@ -114,6 +115,53 @@ class TestMonitors:
         env.run(until=25.0)
         assert received[0] == pytest.approx(2.0)
         assert received[1] == pytest.approx(12.0)
+
+    def _report_dates(self, env, period, jitter, seed, until):
+        server = ComputeServer(
+            env, PAPER_MACHINES["artimon"], ["matmul-1200"], PAPER_CATALOGUE
+        )
+        emitted = []
+        monitor = LoadMonitor(
+            env, server,
+            deliver=lambda report: emitted.append(report.emitted_at),
+            period=period, delay=0.0, jitter=jitter, rng=np.random.default_rng(seed),
+        )
+        env.run(until=until)
+        assert monitor.reports_sent == len(emitted)
+        return emitted
+
+    def test_jittered_periods_stay_within_the_jitter_band(self, env):
+        emitted = self._report_dates(env, period=10.0, jitter=3.0, seed=5, until=500.0)
+        gaps = np.diff(emitted)
+        assert len(gaps) > 30
+        assert np.all((gaps >= 7.0) & (gaps <= 13.0))
+        assert len(set(np.round(gaps, 9))) > 1  # the jitter really varies
+
+    def test_jittered_period_is_floored_at_a_tenth_of_a_second(self, env):
+        emitted = self._report_dates(env, period=0.5, jitter=2.0, seed=3, until=50.0)
+        gaps = np.diff(emitted)
+        assert np.all(gaps >= 0.1 - 1e-12)
+        assert np.any(np.isclose(gaps, 0.1))
+
+    def test_jitter_replays_identically_for_the_same_seed(self):
+        first = self._report_dates(Environment(), period=10.0, jitter=4.0, seed=9, until=300.0)
+        again = self._report_dates(Environment(), period=10.0, jitter=4.0, seed=9, until=300.0)
+        other = self._report_dates(Environment(), period=10.0, jitter=4.0, seed=10, until=300.0)
+        assert first == again
+        assert first != other
+
+    def test_initial_report_precedes_normal_callbacks_at_time_zero(self, env):
+        server = ComputeServer(
+            env, PAPER_MACHINES["artimon"], ["matmul-1200"], PAPER_CATALOGUE
+        )
+        order = []
+        env.call_in(0.0, lambda: order.append("normal"))
+        LoadMonitor(
+            env, server, deliver=lambda report: order.append("report"),
+            period=10.0, delay=0.0, jitter=0.0,
+        )
+        env.run(until=0.0)
+        assert order == ["report", "normal"]
 
     def test_invalid_monitor_parameters(self, env):
         server = ComputeServer(

@@ -1,11 +1,11 @@
-"""Tests of the client process, the fault models and the package surface."""
+"""Tests of the client, the fault models and the package surface."""
 
 from __future__ import annotations
 
 import pytest
 
 import repro
-from repro.errors import ServerCollapsed, TaskRejected
+from repro.errors import TaskRejected
 from repro.platform.client import Client
 from repro.platform.faults import FaultTolerancePolicy, MemoryModel, SpeedNoiseModel
 from repro.simulation import Environment, RandomStreams
@@ -39,6 +39,42 @@ class TestClient:
         env.run()
         assert order == ["a", "b"]
 
+    def test_tasks_due_at_start_precede_normal_callbacks_at_time_zero(self, env):
+        order = []
+        env.call_in(0.0, lambda: order.append("normal"))
+        tasks = [Task(i, matmul_problem(1200), arrival=0.0) for i in ("a", "b")]
+        Client(env, "c", tasks, submit=lambda t: order.append(t.task_id))
+        env.run()
+        assert order == ["a", "b", "normal"]
+
+    def test_client_without_tasks_submits_nothing(self, env):
+        client = Client(env, "c", [], submit=lambda t: pytest.fail("nothing to submit"))
+        env.run()
+        assert client.submitted == 0
+        assert env.now == 0.0 and env.peek() == float("inf")
+
+    def test_inexact_float_arrivals_are_each_submitted_once_in_order(self, env):
+        # 0.1 + 0.2 != 0.3: the awaited task is submitted when its callback
+        # fires, even if ``now`` differs from its arrival in the last bit.
+        arrivals = [0.1, 0.1 + 0.2, 0.3, 0.7, 0.1 * 7]
+        tasks = [Task(f"t{i}", matmul_problem(1200), arrival=a) for i, a in enumerate(arrivals)]
+        submissions = []
+        client = Client(env, "c", tasks, submit=lambda t: submissions.append((t.task_id, env.now)))
+        env.run()
+        assert [task_id for task_id, _ in submissions] == [t.task_id for t in client.tasks]
+        for task_id, at in submissions:
+            arrival = next(t.arrival for t in tasks if t.task_id == task_id)
+            assert at == pytest.approx(arrival, abs=1e-12)
+        assert client.submitted == len(arrivals)
+
+    def test_repr_tracks_submission_progress(self, env):
+        tasks = [Task(f"t{i}", matmul_problem(1200), arrival=float(i)) for i in range(3)]
+        client = Client(env, "zanzibar", tasks, submit=lambda t: None)
+        env.run(until=1.5)
+        assert repr(client) == "<Client zanzibar submitted=2/3>"
+        env.run()
+        assert repr(client) == "<Client zanzibar submitted=3/3>"
+
 
 class TestFaultModels:
     def test_memory_model_thrash_factor_bounds(self):
@@ -71,11 +107,6 @@ class TestFaultModels:
 
 
 class TestErrors:
-    def test_server_collapsed_carries_context(self):
-        error = ServerCollapsed("pulney", at=123.4, resident_mb=812.0)
-        assert error.server_name == "pulney"
-        assert "pulney" in str(error) and "123.4" in str(error)
-
     def test_task_rejected_carries_context(self):
         error = TaskRejected("artimon", "task-1", "not enough memory")
         assert error.reason == "not enough memory"
@@ -88,6 +119,19 @@ class TestErrors:
             obj = getattr(errors, name)
             if isinstance(obj, type) and issubclass(obj, Exception):
                 assert issubclass(obj, errors.ReproError)
+
+
+    def test_errors_all_lists_exactly_the_exception_classes_defined(self):
+        from repro import errors
+
+        defined = {
+            name
+            for name, obj in vars(errors).items()
+            if isinstance(obj, type)
+            and issubclass(obj, Exception)
+            and obj.__module__ == errors.__name__
+        }
+        assert set(errors.__all__) == defined
 
 
 class TestPackageSurface:

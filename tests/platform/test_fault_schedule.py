@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PlatformError
+from repro.obs import Tracer
 from repro.platform.faults import FaultSchedule, OutageWindow, SlowdownWindow
 from repro.platform.middleware import GridMiddleware, MiddlewareConfig
 from repro.workload.metatask import generate_metatask
@@ -120,10 +121,7 @@ class TestScheduledOutage:
             server.on_recovery.append(lambda _s, at: recoveries.append(at))
             probes = {}
             for at in (150.0, 250.0, 350.0):
-                timeout = middleware.env.timeout(at)
-                timeout.callbacks.append(
-                    lambda _evt, t=at: probes.__setitem__(t, server.is_up)
-                )
+                middleware.env.call_in(at, lambda t=at: probes.__setitem__(t, server.is_up))
             middleware.env.run(until=400.0)
             assert probes == {150.0: False, 250.0: False, 350.0: True}, windows
             assert recoveries == [300.0], windows  # one recovery, at the end
@@ -152,8 +150,7 @@ class TestScheduledOutage:
             (30.0, lambda: probes.__setitem__(30.0, server.is_up)),
             (150.0, lambda: probes.__setitem__(150.0, server.is_up)),
         ):
-            timeout = env.timeout(at - env.now) if at > env.now else env.timeout(0)
-            timeout.callbacks.append(lambda _evt, f=action: f())
+            env.call_in(max(0.0, at - env.now), action)
         env.run(until=200.0)
         assert probes == {30.0: False, 150.0: True}
 
@@ -169,6 +166,57 @@ class TestScheduledOutage:
         assert all(
             "outage" in t.attempts[-1].failure_reason for t in result.failed_tasks
         )
+
+
+class TestTracedWindows:
+    def _traced_fault_events(self, windows):
+        tracer = Tracer()
+        middleware = GridMiddleware(
+            platform=second_set_platform(),
+            heuristic="mct",
+            config=_quiet_config(fault_schedule=FaultSchedule(windows=windows)),
+            tracer=tracer,
+        )
+        middleware.run(_wastecpu_metatask(count=4, interval=20.0))
+        return [
+            (event.t, event.kind, dict(event.data))
+            for event in tracer.events()
+            if event.kind.startswith("fault.")
+        ]
+
+    def test_slowdown_window_is_traced_at_its_boundaries(self):
+        events = self._traced_fault_events((SlowdownWindow("spinnaker", 10.0, 30.0, 0.5),))
+        assert events == [
+            (10.0, "fault.slowdown.begin", {"server": "spinnaker", "factor": 0.5}),
+            (30.0, "fault.slowdown.end", {"server": "spinnaker"}),
+        ]
+
+    def test_outage_window_is_traced_at_its_boundaries(self):
+        events = self._traced_fault_events((OutageWindow("spinnaker", 15.0, 25.0),))
+        assert events == [
+            (15.0, "fault.outage.begin", {"server": "spinnaker"}),
+            (25.0, "fault.outage.end", {"server": "spinnaker"}),
+        ]
+
+    def test_tracing_does_not_change_the_faulted_run(self):
+        schedule = FaultSchedule(
+            windows=(
+                SlowdownWindow("spinnaker", 0.0, 40.0, 0.3),
+                OutageWindow("cabestan", 20.0, 60.0),
+            )
+        )
+        metatask = _wastecpu_metatask(count=6, interval=15.0)
+
+        def completions(tracer):
+            result = GridMiddleware(
+                platform=second_set_platform(),
+                heuristic="mct",
+                config=_quiet_config(fault_schedule=schedule),
+                tracer=tracer,
+            ).run(metatask)
+            return [(t.task_id, t.status, t.completion_time) for t in result.tasks]
+
+        assert completions(None) == completions(Tracer())
 
 
 class TestScheduledSlowdown:
@@ -220,9 +268,8 @@ class TestScheduledSlowdown:
             factors = {}
             server = middleware.servers["spinnaker"]
             for at in (5.0, 15.0):
-                timeout = middleware.env.timeout(at)
-                timeout.callbacks.append(
-                    lambda _evt, t=at: factors.__setitem__(t, server._slowdown_factor)
+                middleware.env.call_in(
+                    at, lambda t=at: factors.__setitem__(t, server._slowdown_factor)
                 )
             middleware.env.run(until=20.0)
             assert factors == {5.0: 0.5, 15.0: 0.3}, windows

@@ -191,6 +191,40 @@ class TestRetryStatusWindow:
         assert task.status is TaskStatus.FAILED
 
 
+class TestRunEnd:
+    def test_run_ends_at_the_last_terminal_event(
+        self, first_platform, small_matmul_metatask, quiet_config
+    ):
+        result = GridMiddleware(first_platform, "mct", config=quiet_config).run(
+            small_matmul_metatask
+        )
+        assert result.duration == max(task.completion_time for task in result.tasks)
+        assert result.duration < quiet_config.max_horizon_s
+
+    def test_run_stops_with_the_periodic_callbacks_still_queued(
+        self, first_platform, small_matmul_metatask, quiet_config
+    ):
+        middleware = GridMiddleware(first_platform, "mct", config=quiet_config)
+        result = middleware.run(small_matmul_metatask)
+        # The monitors reschedule themselves forever: the run ended by
+        # stopping the calendar, not by draining it.
+        next_date = middleware.env.peek()
+        assert result.duration <= next_date <= result.duration + quiet_config.monitor_period_s
+
+    def test_zero_delay_follow_ups_at_the_horizon_still_run(self):
+        config = MiddlewareConfig(noise_model=None, seed=1, max_horizon_s=5.0)
+        middleware = GridMiddleware(first_set_platform(), "msf", config=config)
+        seen = []
+        middleware.env.call_in(
+            5.0, lambda: middleware.env.call_in(0.0, lambda: seen.append(middleware.env.now))
+        )
+        result = middleware.run(
+            [Task("t-000000", matmul_problem(1500), arrival=0.0, client="zanzibar")]
+        )
+        assert result.truncated
+        assert seen == [5.0]
+
+
 class TestHorizonTruncation:
     """Regression: when ``max_horizon_s`` fires, in-flight tasks must be
     finalised as failed (reason ``"horizon"``) and the run flagged."""

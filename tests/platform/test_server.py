@@ -65,12 +65,11 @@ class TestSingleTaskExecution:
         server.submit(first)
 
         def late_submission():
-            yield env.timeout(30.0)
             second = make_task("second", size=1200, arrival=30.0)
             second.new_attempt("artimon", 30.0)
             server.submit(second)
 
-        env.process(late_submission())
+        env.call_in(30.0, late_submission)
         env.run()
         assert first.completed and first.completion_time > 63.0
 
@@ -200,12 +199,8 @@ class TestMonitoringViews:
             task.new_attempt("artimon", 0.0)
             server.submit(task)
 
-        def probe():
-            yield env.timeout(60.0)
-            return server.load_average()
-
-        load = env.run(until=env.process(probe()))
-        assert load > 1.0
+        env.run(until=60.0)
+        assert server.load_average() > 1.0
 
     def test_speed_noise_changes_completion_times(self, env):
         noisy = make_server(env, noise=SpeedNoiseModel(relative_sigma=0.3, period_s=5.0))
@@ -215,6 +210,22 @@ class TestMonitoringViews:
         env.run(until=500.0)
         assert task.completed
         assert task.completion_time != pytest.approx(63.0, abs=1e-6)
+
+    def test_speed_noise_is_redrawn_every_period(self, env):
+        server = make_server(env, noise=SpeedNoiseModel(relative_sigma=0.3, period_s=5.0))
+        nominal = float(server.spec.cpu_count)
+        env.run(until=4.0)
+        # An idle noisy server's only calendar entry is its next redraw.
+        assert env.peek() == 5.0
+        assert server.cpu_capacity() == nominal
+        env.run(until=12.0)
+        assert env.peek() == 15.0
+        assert server.cpu_capacity() != pytest.approx(nominal)
+
+    def test_noise_free_server_schedules_nothing(self, env):
+        make_server(env, noise=SpeedNoiseModel(relative_sigma=0.0, period_s=5.0))
+        make_server(env, name="pulney")
+        assert env.peek() == float("inf")
 
     def test_costs_for_problem_spec_matches_catalogue(self, env):
         server = make_server(env)

@@ -1,18 +1,16 @@
-"""Tests of the ``repro.api`` facade, streaming observers, the CLI results
-commands and the deprecation shims."""
+"""Tests of the ``repro.api`` facade, streaming observers and the CLI results
+commands."""
 
 from __future__ import annotations
 
 import io
 
-import numpy as np
 import pytest
 
 from repro import api
 from repro.cli import main as cli_main
 from repro.errors import ExperimentError, ResultsError
-from repro.experiments import ExperimentConfig, ExperimentScale, run_campaign
-from repro.experiments.runner import run_table_experiment
+from repro.experiments import ExperimentConfig, ExperimentScale
 from repro.results import (
     CampaignObserver,
     ProgressObserver,
@@ -20,8 +18,7 @@ from repro.results import (
     ResultSetObserver,
     RunRecord,
 )
-from repro.scenarios import run_sweep, sweep_scenarios
-from repro.workload.testbed import first_set_platform, matmul_metatask
+from repro.scenarios import run_sweep
 
 SMOKE_SCALE = ExperimentScale(name="api-smoke", task_count=15, metatask_count=1, repetitions=1)
 
@@ -173,29 +170,7 @@ class TestObservers:
         assert observed.columns == table5.columns
 
 
-class TestDeprecationShims:
-    def test_run_table_experiment_warns_and_matches_the_api_path(self):
-        config = smoke_config()
-        platform = first_set_platform()
-        metatask = matmul_metatask(15, 20.0, rng=np.random.default_rng(2003), name="shim")
-        with pytest.warns(DeprecationWarning, match="run_table_experiment"):
-            shimmed = run_table_experiment("shim", "shim", platform, [metatask], config)
-        direct = run_campaign("shim", "shim", platform, [metatask], config)
-        assert shimmed.columns == direct.columns
-        assert shimmed.result_set.records == direct.result_set.records
-
-    def test_sweep_scenarios_warns_and_matches_the_api_path(self):
-        config = smoke_config()
-        with pytest.warns(DeprecationWarning, match="sweep_scenarios"):
-            shimmed = sweep_scenarios(["paper-low-rate"], config=config)
-        direct = api.sweep(["paper-low-rate"], config=config)
-        assert shimmed.ranking == direct.ranking
-        assert shimmed.result_set.records == direct.result_set.records
-        assert (
-            shimmed.tables["paper-low-rate"].columns
-            == direct.tables["paper-low-rate"].columns
-        )
-
+class TestRunSweep:
     def test_run_sweep_does_not_warn(self, recwarn):
         run_sweep(["paper-low-rate"], config=smoke_config())
         assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]

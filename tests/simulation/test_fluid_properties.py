@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simulation.fluid import EPSILON, FluidNetwork, FluidStage, ProcessorSharingQueue
@@ -155,14 +155,20 @@ class TestMonotonicity:
 
 class TestCopyIndependence:
     @given(batch=job_batches())
+    # A completion within EPSILON of the last arrival lands the clock at
+    # 0.30000000000000004, just past ``now``.
+    @example(batch=[(0.0, 1.0), (0.0, 1.0), (0.0, 0.1), (0.3, 1.0)])
     @settings(max_examples=60, deadline=None)
     def test_queue_copy_is_independent(self, batch):
         queue, now = build_queue(batch)
+        # advance_to's look-ahead may finish a job up to EPSILON past ``now``.
+        assert now <= queue.time <= now + EPSILON
+        time_before = queue.time
         snapshot = {k: queue.remaining(k) for k in queue.active_keys()}
         clone = queue.copy()
         clone.add("intruder", 99.0, now=now)
         clone.advance_to(now + 1_000.0)
-        assert queue.time == now
+        assert queue.time == time_before
         assert {k: queue.remaining(k) for k in queue.active_keys()} == snapshot
 
     @given(
@@ -208,6 +214,18 @@ class TestAdvanceIdempotence:
         assert [k for _, k in one_shot] == [k for _, k in many]
         for (t1, _), (t2, _) in zip(one_shot, many):
             assert t1 == pytest.approx(t2, rel=1e-9, abs=1e-9)
+
+    @given(batch=job_batches(), dt=st.floats(min_value=0.0, max_value=50.0))
+    @example(batch=[(0.0, 1.0), (0.0, 1.0), (0.0, 0.1), (0.3, 1.0)], dt=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_clock_lands_within_epsilon_of_the_target(self, batch, dt):
+        queue, now = build_queue(batch)
+        target = now + dt
+        completions = queue.advance_to(target)
+        assert target <= queue.time <= target + EPSILON
+        dates = [t for t, _ in completions]
+        assert dates == sorted(dates)
+        assert all(t <= queue.time for t in dates)
 
     @given(batch=job_batches(), dt=st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=60, deadline=None)
