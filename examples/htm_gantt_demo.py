@@ -4,9 +4,9 @@
 Reproduces the "usefulness of the HTM" scenario of Section 2.3: two identical
 servers each run one task; when a third task arrives the HTM knows the
 *remaining* durations and picks the server that frees up first.  The script
-prints the per-candidate Gantt charts and the perturbation report of the
-decision, then shows how an agent-side trace evolves as more tasks are
-committed.
+prints the per-candidate Gantt charts of the decision, shows how an
+agent-side trace evolves as more tasks are committed, and compares the
+candidate servers of one decision under each heuristic's objective.
 
 Run with::
 
@@ -15,7 +15,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import HistoricalTraceManager, PerturbationReport
+from repro.core import HistoricalTraceManager
 from repro.experiments import run_fig1
 from repro.workload.problems import matmul_problem
 from repro.workload.tasks import Task
@@ -56,7 +56,7 @@ def growing_trace() -> None:
 
 def candidate_comparison() -> None:
     print("=" * 78)
-    print("Comparing candidate servers for one decision (perturbation report)")
+    print("Comparing candidate servers for one decision")
     print("=" * 78)
     htm = HistoricalTraceManager()
     for server in ("chamagne", "cabestan", "artimon", "pulney"):
@@ -67,13 +67,28 @@ def candidate_comparison() -> None:
     htm.commit("pulney", Task("bg-3", matmul_problem(1200), arrival=5.0), now=5.0)
 
     new_task = Task("new", matmul_problem(1800), arrival=20.0)
-    predictions = htm.predict_all(htm.servers(), new_task, now=20.0)
-    report = PerturbationReport.from_predictions(predictions, new_task.task_id, 20.0)
-    print(report.render())
+    by_server = htm.predict_all(htm.servers(), new_task, now=20.0)
+    predictions = [by_server[name] for name in sorted(by_server)]
+    print(
+        f"{'server':>12} {'completion':>12} {'flow':>10} {'sum pert.':>10} "
+        f"{'#pert':>6} {'ΔsumFlow':>10}"
+    )
+    for p in predictions:
+        print(
+            f"{p.server:>12} {p.new_task_completion:>12.2f} {p.predicted_flow:>10.2f} "
+            f"{p.sum_perturbation:>10.2f} {p.n_perturbed:>6d} {p.sum_flow_increase:>10.2f}"
+        )
     print()
-    print(f"HMCT would pick : {report.best_by('new_task_completion').server}")
-    print(f"MP   would pick : {report.best_by('sum_perturbation').server}")
-    print(f"MSF  would pick : {report.best_by('sum_flow_increase').server}")
+    for heuristic, objective in (
+        ("HMCT", "new_task_completion"),
+        ("MP", "sum_perturbation"),
+        ("MSF", "sum_flow_increase"),
+    ):
+        best = min(
+            predictions,
+            key=lambda p: (getattr(p, objective), p.new_task_completion, p.server),
+        )
+        print(f"{heuristic:<4} would pick : {best.server}")
 
 
 def main() -> None:

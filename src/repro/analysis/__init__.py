@@ -33,7 +33,7 @@ Entry points: ``repro check`` (CLI), :func:`repro.api.check`, or directly::
 
 from .baseline import load_baseline, partition_findings, save_baseline
 from .findings import Finding, Suppression, parse_suppressions
-from .rules import RULE_REGISTRY, ModuleSource, Rule, get_rule, register, rule_ids
+from .rules import RULE_REGISTRY, ModuleSource, Rule, get_rule, register
 from .runner import CheckReport, default_baseline_path, lint_source, run_check
 
 # Importing the rule modules is what populates RULE_REGISTRY.
@@ -48,7 +48,6 @@ __all__ = [
     "ModuleSource",
     "RULE_REGISTRY",
     "register",
-    "rule_ids",
     "get_rule",
     "CheckReport",
     "run_check",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..errors import AnalysisError
 from .findings import Finding, Suppression, parse_suppressions
@@ -27,7 +27,6 @@ __all__ = [
     "Rule",
     "RULE_REGISTRY",
     "register",
-    "rule_ids",
     "get_rule",
     "select_rules",
     "dotted_name",
@@ -182,11 +181,6 @@ def register(rule_class: type) -> type:
         raise AnalysisError(f"duplicate rule id {rule.id!r}")
     RULE_REGISTRY[rule.id] = rule
     return rule_class
-
-
-def rule_ids() -> Tuple[str, ...]:
-    """Every registered rule id, in registration order."""
-    return tuple(RULE_REGISTRY)
 
 
 def get_rule(rule_id: str) -> Rule:

@@ -4,15 +4,14 @@ This package contains everything Section 2.3–4 of the paper describes:
 
 * :class:`HistoricalTraceManager` — the in-agent simulation of every mapped
   task (per-server Gantt charts, completion predictions, perturbations);
-* :class:`~repro.core.records.HtmPrediction` / :class:`~repro.core.perturbation.PerturbationReport`
-  — the what-if results the heuristics reason about;
+* :class:`~repro.core.records.HtmPrediction` — the what-if result the
+  heuristics reason about;
 * the scheduling heuristics (:mod:`repro.core.heuristics`): MCT (baseline),
   HMCT, MP, MSF, plus extensions.
 """
 
 from .gantt import GanttChart, GanttPhase, GanttRow, chart_from_states
 from .htm import HistoricalTraceManager, ServerTrace
-from .perturbation import CandidateSummary, PerturbationReport
 from .records import HtmPrediction, TracedTask
 from .heuristics import (
     Decision,
@@ -40,8 +39,6 @@ __all__ = [
     "GanttRow",
     "GanttPhase",
     "chart_from_states",
-    "CandidateSummary",
-    "PerturbationReport",
     "Decision",
     "Heuristic",
     "HtmHeuristic",

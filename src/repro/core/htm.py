@@ -51,7 +51,6 @@ class ServerTrace:
     costs_provider: CostsProvider
     cpu_count: int = 1
     network: FluidNetwork = None  # type: ignore[assignment]
-    tasks: Dict[str, TracedTask] = field(default_factory=dict)
     next_local_number: int = 1
     #: Cached free-run completion dates, valid while the network's structural
     #: version is :attr:`_cache_version` (see :meth:`free_run_completions`).
@@ -96,11 +95,6 @@ class ServerTrace:
         # corrupt every later incremental prediction until the next
         # structural mutation.
         return MappingProxyType(self._cached_completions)
-
-    def invalidate_prediction_cache(self) -> None:
-        """Drop the memoised free-run baseline (forces a fresh simulation)."""
-        self._cached_completions = None
-        self._cache_version = -1
 
     def predicted_completions(self, incremental: bool = True) -> Dict[str, float]:
         """Predicted completion date of every unfinished task (what-if free run).
@@ -298,7 +292,6 @@ class HistoricalTraceManager:
             local_number=trace.next_local_number,
         )
         trace.next_local_number += 1
-        trace.tasks[task.task_id] = record
         trace.network.add_task(task.task_id, arrival=now, stages=self._stages_for(trace, task), now=now)
         self._placements[task.task_id] = server
         self.n_commits += 1

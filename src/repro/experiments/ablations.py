@@ -60,10 +60,6 @@ def _metatask_for(config: ExperimentConfig, family: str, rate: float) -> Metatas
     return wastecpu_metatask(config.scale.task_count, rate, rng=rng, name=f"ablation-{family}")
 
 
-def _summaries_to_columns(results: Dict[str, Dict[str, float]]) -> Dict[str, Dict[str, float]]:
-    return results
-
-
 def ablation_monitor_period(
     periods_s: Sequence[float] = (5.0, 30.0, 120.0),
     config: Optional[ExperimentConfig] = None,

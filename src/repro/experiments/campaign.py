@@ -13,14 +13,16 @@ This module makes that structure explicit:
   is *derived from the coordinates* (:func:`derive_seed_offset`), never from
   execution order, which is what makes the campaign deterministic: any
   executor, any interleaving, same numbers.
-* executors — :class:`SerialExecutor` (in-process, the legacy behaviour) and
-  :class:`MultiprocessingExecutor` (a process pool, ``--jobs N`` from the
-  CLI).  Both preserve cell order in their result list and *stream* each
-  result back through an optional ``on_result`` callback as it completes.
+* executors — any ``executor(work_items) -> Iterable[RunResult]`` that
+  returns one result per cell *in input order*: :class:`SerialExecutor`
+  (in-process) and :class:`MultiprocessingExecutor` (a process pool,
+  ``--jobs N`` from the CLI).  Both return iterators, so each result is
+  assembled as soon as it completes; a plain list works too.
 * :func:`run_campaign` — plans the cells, executes them, builds one
   provenance-stamped :class:`~repro.results.RunRecord` per cell as results
-  stream in (feeding any attached
-  :class:`~repro.results.CampaignObserver`), and assembles the
+  stream in (calling every attached
+  :class:`~repro.results.CampaignObserver` as
+  ``on_cell_complete(index, total, record, cached=cached)``), and assembles the
   :class:`~repro.experiments.runner.TableResult` as a pure
   :meth:`~repro.results.ResultSet.pivot` view over the records.  Reference
   (MCT) cells are planned first so "tasks finishing sooner" comparisons pair
@@ -31,12 +33,13 @@ The documented entry points over this engine live in :mod:`repro.api`.
 
 from __future__ import annotations
 
-import inspect
 import math
 import multiprocessing
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from ..core.heuristics import Heuristic, create_heuristic
 from ..errors import ExperimentError, StoreError
@@ -77,9 +80,6 @@ __all__ = [
 #: Summary fields copied onto every record (everything but the pairwise
 #: ``sooner`` count, which needs the reference run).
 _RECORD_SUMMARY_FIELDS = tuple(f for f in METRIC_FIELD_ORDER if f != SOONER_METRIC)
-
-#: Callback streamed one ``(cell index, result)`` pair per completed cell.
-OnResult = Callable[[int, RunResult], None]
 
 
 def derive_seed_offset(metatask_index: int, repetition: int) -> int:
@@ -190,30 +190,13 @@ def execute_cell(work: CellWork) -> RunResult:
     return middleware.run(work.metatask)
 
 
-def _execute_serially(
-    work_items: Sequence[CellWork], on_result: Optional[OnResult]
-) -> List[RunResult]:
-    """In-process execution loop shared by the serial paths of both executors."""
-    results: List[RunResult] = []
-    for index, work in enumerate(work_items):
-        run = execute_cell(work)
-        results.append(run)
-        if on_result is not None:
-            on_result(index, run)
-    return results
-
-
 class SerialExecutor:
     """Execute cells one after the other in the current process."""
 
     jobs = 1
 
-    def __call__(
-        self,
-        work_items: Sequence[CellWork],
-        on_result: Optional[OnResult] = None,
-    ) -> List[RunResult]:
-        return _execute_serially(work_items, on_result)
+    def __call__(self, work_items: Sequence[CellWork]) -> Iterator[RunResult]:
+        return map(execute_cell, work_items)
 
     def __repr__(self) -> str:
         return "<SerialExecutor>"
@@ -222,8 +205,8 @@ class SerialExecutor:
 class MultiprocessingExecutor:
     """Execute cells on a process pool of ``jobs`` workers.
 
-    ``Pool.map`` preserves input order, so the result list lines up with the
-    planned cells regardless of which worker finished first.
+    ``Pool.imap`` preserves input order, so results are yielded in planned
+    cell order regardless of which worker finished first.
 
     The pool is built from an *explicit* start-method context: pass
     ``start_method`` to pin one, otherwise the platform's default method is
@@ -256,20 +239,17 @@ class MultiprocessingExecutor:
             method = multiprocessing.get_start_method(allow_none=False)
         return multiprocessing.get_context(method)
 
-    def __call__(
-        self,
-        work_items: Sequence[CellWork],
-        on_result: Optional[OnResult] = None,
-    ) -> List[RunResult]:
+    def __call__(self, work_items: Sequence[CellWork]) -> Iterator[RunResult]:
         work_items = list(work_items)
         if not work_items:
-            return []
+            return
         # No point forking more workers than there are cells.
         processes = min(self.jobs, len(work_items))
         if processes == 1 or multiprocessing.current_process().daemon:
             # Daemonic processes may not have children: a nested campaign
             # (e.g. an experiment running inside a pool worker) runs serially.
-            return _execute_serially(work_items, on_result)
+            yield from map(execute_cell, work_items)
+            return
         try:
             pool = self._context().Pool(processes=processes)
         except (AssertionError, OSError, ValueError):
@@ -278,25 +258,20 @@ class MultiprocessingExecutor:
             # OSError/ValueError).  Fall back to serial execution.  Errors
             # raised by the cells themselves propagate from the pool map below
             # — they must not silently trigger a serial re-run of the campaign.
-            return _execute_serially(work_items, on_result)
+            yield from map(execute_cell, work_items)
+            return
         with pool:
             # ``imap`` yields results in input order as workers finish, which
             # is what lets observers stream while the pool is still running.
-            results: List[RunResult] = []
-            for index, run in enumerate(
-                pool.imap(execute_cell, work_items, chunksize=self.chunksize)
-            ):
-                results.append(run)
-                if on_result is not None:
-                    on_result(index, run)
-            return results
+            yield from pool.imap(execute_cell, work_items, chunksize=self.chunksize)
 
     def __repr__(self) -> str:
         return f"<MultiprocessingExecutor jobs={self.jobs}>"
 
 
-#: Signature shared by the executors: ordered cells in, ordered results out.
-CellExecutor = Callable[[Sequence[CellWork]], List[RunResult]]
+#: Signature shared by the executors: ordered cells in, results out in the
+#: same order (a list, or an iterator that streams them as they complete).
+CellExecutor = Callable[[Sequence[CellWork]], Iterable[RunResult]]
 
 
 def create_executor(jobs: Optional[int]) -> CellExecutor:
@@ -308,54 +283,16 @@ def create_executor(jobs: Optional[int]) -> CellExecutor:
     return MultiprocessingExecutor(jobs)
 
 
-def _accepts_keyword(callable_: Callable, name: str) -> bool:
-    """Whether ``callable_`` can be passed the keyword argument ``name``."""
-    try:
-        parameters = inspect.signature(callable_).parameters.values()
-    except (TypeError, ValueError):  # builtins / exotic callables
-        return False
-    return any(
-        p.name == name or p.kind is inspect.Parameter.VAR_KEYWORD
-        for p in parameters
-    )
-
-
-def _supports_on_result(executor: Callable) -> bool:
-    """Whether an executor accepts the streaming ``on_result`` callback."""
-    return _accepts_keyword(executor, "on_result")
-
-
-def _accepts_cached(observer: CampaignObserver) -> bool:
-    """Whether an observer's ``on_cell_complete`` takes the ``cached`` flag.
-
-    Observers written before the campaign store keep working: they are
-    simply called without the keyword.
-    """
-    return _accepts_keyword(observer.on_cell_complete, "cached")
-
-
-def _accepts_run(observer: CampaignObserver) -> bool:
-    """Whether an observer's ``on_cell_complete`` takes the live ``run``.
-
-    Counter-harvesting observers (:class:`repro.obs.PerfReportObserver`)
-    declare the keyword and receive each freshly executed
-    :class:`~repro.platform.middleware.RunResult` (``None`` for cells
-    recovered from the store); everyone else is called without it.
-    """
-    return _accepts_keyword(observer.on_cell_complete, "run")
-
-
 class _CampaignAssembler:
-    """Streams executed runs *and* cached entries into records and observers.
+    """Turns executed runs *and* cached entries into records and observers.
 
-    Results must be fed in planned cell order (reference heuristic first) so
+    Cells must be fed in planned cell order (reference heuristic first) so
     every "tasks finishing sooner" comparison finds its reference
-    completions; the assembler buffers out-of-order arrivals from exotic
-    executors and always *processes* contiguously from cell 0.  Cells may
-    arrive through two doors — :meth:`on_result` (a freshly executed run,
-    committed to the store when one is attached) and :meth:`on_cached` (an
-    entry recovered from the store's journal, emitted verbatim) — and the
-    record stream is byte-identical whichever door each cell came through.
+    completions.  A cell comes in through one of two doors —
+    :meth:`process` (a freshly executed run, committed to the store when one
+    is attached) or :meth:`process_cached` (an entry recovered from the
+    store's journal, emitted verbatim) — and the record stream is
+    byte-identical whichever door each cell came through.
     """
 
     def __init__(
@@ -377,8 +314,6 @@ class _CampaignAssembler:
         self.work_items = work_items
         self.config = config
         self.observers = list(observers)
-        self._observer_takes_cached = [_accepts_cached(o) for o in self.observers]
-        self._observer_takes_run = [_accepts_run(o) for o in self.observers]
         self.store = store
         self.instrumentation = instrumentation
         #: One :class:`repro.obs.CellTrace` per cell, planned order (filled
@@ -387,6 +322,9 @@ class _CampaignAssembler:
         #: One :class:`repro.obs.CellMetrics` per cell, planned order (stays
         #: all-``None`` when sampling is off).
         self.metrics: List[Optional[CellMetrics]] = [None] * len(cells)
+        #: Each executed cell's hot-path counters, planned order (``None``
+        #: for cells recovered from the store, which never re-simulate).
+        self.counters: List[Optional[Dict[str, int]]] = [None] * len(cells)
         self.cell_keys = cell_keys
         self.config_hash = config_fingerprint(config)
         self.result_set = ResultSet()
@@ -396,35 +334,9 @@ class _CampaignAssembler:
         self.reference_completions: Dict[Tuple[int, int], Dict[str, float]] = {}
         self.recovered = 0
         self.executed = 0
-        self._pending: Dict[int, Tuple[bool, object]] = {}
-        self._next = 0
 
-    def on_result(self, index: int, run: RunResult) -> None:
-        """Accept one executor result (any order; processing stays ordered)."""
-        self._enqueue(index, (False, run))
-
-    def on_cached(self, index: int, entry: CellEntry) -> None:
-        """Accept one journaled cell recovered from the store."""
-        self._enqueue(index, (True, entry))
-
-    def _enqueue(self, index: int, item: Tuple[bool, object]) -> None:
-        if index < self._next or index in self._pending:
-            return  # already processed (a replay after a non-streaming executor)
-        self._pending[index] = item
-        while self._next in self._pending:
-            cached, payload = self._pending.pop(self._next)
-            if cached:
-                self._process_cached(self._next, payload)
-            else:
-                self._process(self._next, payload)
-            self._next += 1
-
-    @property
-    def processed(self) -> int:
-        """Number of cells processed so far (contiguous from cell 0)."""
-        return self._next
-
-    def _process(self, index: int, run: RunResult) -> None:
+    def process(self, index: int, run: RunResult) -> None:
+        """Assemble one freshly executed cell."""
         cell = self.cells[index]
         outcome = self.outcomes.setdefault(
             cell.heuristic, self._outcome_factory(cell.heuristic)
@@ -482,10 +394,12 @@ class _CampaignAssembler:
                 cell.repetition,
                 run.metric_series,
             )
+        self.counters[index] = run.counters
         self.executed += 1
-        self._emit(index, record, cached=False, run=run)
+        self._emit(index, record, cached=False)
 
-    def _process_cached(self, index: int, entry: CellEntry) -> None:
+    def process_cached(self, index: int, entry: CellEntry) -> None:
+        """Assemble one cell recovered from the store's journal."""
         cell = self.cells[index]
         if cell.heuristic == self.config.reference:
             if entry.completions is None:
@@ -513,23 +427,10 @@ class _CampaignAssembler:
         self.recovered += 1
         self._emit(index, entry.record, cached=True)
 
-    def _emit(
-        self,
-        index: int,
-        record: RunRecord,
-        cached: bool,
-        run: Optional[RunResult] = None,
-    ) -> None:
+    def _emit(self, index: int, record: RunRecord, cached: bool) -> None:
         self.result_set.append(record)
-        for observer, takes_cached, takes_run in zip(
-            self.observers, self._observer_takes_cached, self._observer_takes_run
-        ):
-            kwargs = {}
-            if takes_cached:
-                kwargs["cached"] = cached
-            if takes_run:
-                kwargs["run"] = run
-            observer.on_cell_complete(index, len(self.cells), record, **kwargs)
+        for observer in self.observers:
+            observer.on_cell_complete(index, len(self.cells), record, cached=cached)
 
 
 def _resolve_repetitions(
@@ -634,9 +535,8 @@ def _run_round(
     ]
 
     if store is None:
-        partition = None
+        hits: Dict[int, CellEntry] = {}
         cell_keys = None
-        miss_indices = list(range(len(cells)))
         miss_items = work_items
     else:
         # Diff the plan against the journal: hits are recovered, only the
@@ -648,10 +548,10 @@ def _run_round(
         partition = partition_cells(
             store, experiment_id, config_hash, cells, work_items, workload_hash
         )
+        hits = partition.hits
         cell_keys = partition.keys
-        miss_indices = partition.misses
-        miss_items = [work_items[i] for i in miss_indices]
-        if not partition.hits:
+        miss_items = [work_items[i] for i in partition.misses]
+        if not hits:
             # A resume with the wrong --scale/--seed looks exactly like a
             # cold run: same experiment id, different config hash, zero
             # hits.  Warn *before* hours of re-simulation, not after.  Only
@@ -682,32 +582,25 @@ def _run_round(
     )
     for observer in observers:
         observer.on_campaign_start(experiment_id, len(cells))
-    if partition is not None:
-        for index, entry in partition.hits.items():
-            assembler.on_cached(index, entry)
-
-    # Executor indices are positions in the (possibly filtered) miss list;
-    # remap them onto planned cell indices before they reach the assembler.
-    def on_miss_result(position: int, run: RunResult) -> None:
-        assembler.on_result(miss_indices[position], run)
-
-    if not miss_items:
-        results: List[RunResult] = []
-    elif _supports_on_result(executor):
-        results = executor(miss_items, on_result=on_miss_result)
-    else:
-        results = executor(miss_items)
-    if len(results) != len(miss_items):
+    # Merge the two ordered streams — journal hits and the executor's
+    # results for the misses — back into planned cell order.
+    results = iter(executor(miss_items) if miss_items else ())
+    for index in range(len(cells)):
+        entry = hits.get(index)
+        if entry is not None:
+            assembler.process_cached(index, entry)
+            continue
+        run = next(results, None)
+        if run is None:
+            raise ExperimentError(
+                f"executor returned {assembler.executed} results for "
+                f"{len(miss_items)} cells"
+            )
+        assembler.process(index, run)
+    if next(results, None) is not None:
         raise ExperimentError(
-            f"executor returned {len(results)} results for {len(miss_items)} cells"
-        )
-    # Replay anything the executor did not stream (plain executors stream
-    # nothing; well-behaved ones streamed everything and this is a no-op).
-    for position, run in enumerate(results):
-        on_miss_result(position, run)
-    if assembler.processed != len(cells):
-        raise ExperimentError(
-            f"assembled {assembler.processed} cells out of {len(cells)}"
+            f"executor returned more than {len(miss_items)} results for "
+            f"{len(miss_items)} cells"
         )
     return assembler, cells
 
@@ -732,10 +625,11 @@ def run_campaign(
     """Run a full table campaign and assemble its :class:`TableResult`.
 
     ``jobs`` defaults to ``config.jobs``; an explicit ``executor`` (anything
-    mapping an ordered list of :class:`CellWork` to an ordered list of
-    :class:`RunResult`, optionally streaming each result through an
-    ``on_result(index, result)`` keyword callback) overrides both — the
-    pluggable backend hook.
+    mapping an ordered sequence of :class:`CellWork` to an iterable of
+    :class:`RunResult` in the same order — a list, or an iterator that
+    yields each result as it completes so observers stream) overrides
+    both — the pluggable backend hook.  An executor returning too few or
+    too many results raises :class:`~repro.errors.ExperimentError`.
 
     ``reps`` controls the repetition count: an ``int`` overrides
     ``config.scale.repetitions`` (fixed mode), and the string ``"auto"``
@@ -760,6 +654,9 @@ def run_campaign(
     in-flight tasks, completions/failures, report staleness and windowed
     throughput/latency (``metrics_window`` sets the window) — and the
     per-cell series come back on ``table.metrics`` (same shape and order).
+    Every executed cell's hot-path counters come back on ``table.counters``
+    (planned order; ``None`` for cells recovered from a store) — the input
+    of :func:`repro.obs.counter_rollup`.
     Trace events and samples carry *virtual* time only and derive from cell
     coordinates, so an instrumented campaign — records, trace and series —
     is byte-identical at any ``jobs`` level, and its records equal an
@@ -782,7 +679,9 @@ def run_campaign(
 
     As cells complete, one :class:`~repro.results.RunRecord` per cell is
     assembled in planned order and streamed to ``observers`` (plus any
-    observers attached to ``config.observers``); in sequential mode
+    observers attached to ``config.observers``) through
+    ``on_cell_complete(index, total, record, cached=cached)``, where
+    ``cached`` says whether the cell came from the store; in sequential mode
     ``on_campaign_start`` fires once per round (cell indices and totals are
     per-round) while ``on_campaign_end`` fires once, with the merged record
     set.  The returned table carries the full record set on
@@ -914,9 +813,9 @@ def run_campaign(
                 None if not math.isfinite(worst_rel) else round(worst_rel, 6)
             ),
             # The ``stats.*`` counter family: how much work the stopping
-            # engine spent and where it stood when it stopped.  Harvested by
-            # PerfReportObserver into the perf report's counter rollup and
-            # echoed on the ProgressObserver end line.
+            # engine spent and where it stood when it stopped.  Merged into
+            # the perf report's counter rollup (repro.obs.counter_rollup)
+            # and echoed on the ProgressObserver end line.
             "counters": {
                 "stats.rounds": len(rounds),
                 "stats.cells": sum(len(cells) for _, cells in rounds),
@@ -952,4 +851,7 @@ def run_campaign(
         if instrumentation.metrics
         else []
     )
+    table.counters = [
+        cell_counters for assembler, _ in rounds for cell_counters in assembler.counters
+    ]
     return table

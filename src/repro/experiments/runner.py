@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from ..core.heuristics import Heuristic
-from ..metrics.aggregate import aggregate_values
 from ..metrics.comparison import PairwiseComparison
 from ..metrics.flow import MetricSummary
 from ..metrics.report import format_mean_ci, render_markdown_table, render_table
@@ -51,17 +50,6 @@ class HeuristicOutcome:
     runs: List[RunResult] = field(default_factory=list)
     summaries: List[MetricSummary] = field(default_factory=list)
     comparisons: List[PairwiseComparison] = field(default_factory=list)
-
-    def mean_metric(self, name: str) -> float:
-        """Mean of one :class:`MetricSummary` field across runs."""
-        return aggregate_values(getattr(s, name) for s in self.summaries).mean
-
-    @property
-    def mean_sooner(self) -> Optional[float]:
-        """Mean count of tasks finishing sooner than the reference, if compared."""
-        if not self.comparisons:
-            return None
-        return aggregate_values(c.sooner for c in self.comparisons).mean
 
 
 @dataclass

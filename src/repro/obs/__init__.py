@@ -20,8 +20,8 @@ profiling"):
   execution-only value saying what a campaign observes (trace, ring bound,
   metrics interval and window);
 * :mod:`repro.obs.report` — the per-campaign :class:`PerfReport`
-  (``perf-report.json``) fed by :class:`PerfReportObserver` on the campaign
-  observer chain;
+  (``perf-report.json``), its counter fields rolled up from the campaign's
+  table by :func:`counter_rollup`;
 * :mod:`repro.obs.wallclock` — the *single* sanctioned home for wall-clock
   reads in the package (the DET-CLOCK lint rule exempts ``repro/obs/`` and
   nothing else);
@@ -45,7 +45,7 @@ from .trace import (
     read_trace_jsonl,
     write_trace_jsonl,
 )
-from .counters import merge_counters, middleware_counters, network_counters
+from .counters import merge_counters, middleware_counters
 from .metrics import (
     CellMetrics,
     MetricSeries,
@@ -64,7 +64,7 @@ from .dashboard import (
 )
 from .chrome import chrome_trace, write_chrome_trace
 from .instrumentation import Instrumentation
-from .report import PerfReport, PerfReportObserver
+from .report import PerfReport, counter_rollup
 
 __all__ = [
     "PhaseTimer",
@@ -77,7 +77,6 @@ __all__ = [
     "read_trace_jsonl",
     "merge_counters",
     "middleware_counters",
-    "network_counters",
     "MetricSeries",
     "MetricsSampler",
     "CellMetrics",
@@ -94,5 +93,5 @@ __all__ = [
     "write_chrome_trace",
     "Instrumentation",
     "PerfReport",
-    "PerfReportObserver",
+    "counter_rollup",
 ]

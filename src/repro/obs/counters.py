@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping
 
-__all__ = ["merge_counters", "middleware_counters", "network_counters"]
+__all__ = ["merge_counters", "middleware_counters"]
 
 
 def merge_counters(counter_maps: Iterable[Mapping[str, int]]) -> Dict[str, int]:
@@ -37,11 +37,6 @@ def merge_counters(counter_maps: Iterable[Mapping[str, int]]) -> Dict[str, int]:
         for key, value in counters.items():
             totals[key] = totals.get(key, 0) + int(value)
     return {key: totals[key] for key in sorted(totals)}
-
-
-def network_counters(network) -> Dict[str, int]:
-    """Counters of one :class:`~repro.simulation.fluid.FluidNetwork` (unprefixed)."""
-    return network.counters()
 
 
 def _prefixed(prefix: str, counters: Mapping[str, int]) -> Dict[str, int]:

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import ExperimentError
 from .instrumentation import Instrumentation
-from .report import PerfReport, PerfReportObserver
+from .report import PerfReport, counter_rollup
 from .wallclock import PhaseTimer
 
 __all__ = ["profile_scenario"]
@@ -145,7 +145,6 @@ def profile_scenario(
 
         workload = build_scenario_metatasks(scenario, effective)
 
-    observer = PerfReportObserver()
     profiler: Optional[cProfile.Profile] = None
     if cprofile and jobs <= 1:
         profiler = cProfile.Profile()
@@ -160,7 +159,6 @@ def profile_scenario(
                 metatasks=workload,
                 config=effective,
                 jobs=jobs,
-                observers=[observer],
                 instrumentation=instrumentation,
             )
         finally:
@@ -171,7 +169,7 @@ def profile_scenario(
         # campaign does, measured in isolation.
         table.result_set.pivot().render()
     with timer.phase("report"):
-        counters = observer.counters()
+        rollup = counter_rollup(table)
         profile_top = _profile_top(profiler, top) if profiler is not None else []
 
     return PerfReport(
@@ -185,13 +183,7 @@ def profile_scenario(
             "seed": seed,
         },
         phases=timer.items(),
-        counters=counters,
-        cells_total=observer.cells_total,
-        cells_counted=observer.cells_counted,
-        cells_cached=observer.cells_cached,
-        truncated_cells=observer.truncated_cells,
-        tasks_simulated=observer.tasks_simulated,
-        per_cell=observer.per_cell,
+        **rollup,
         profile_top=profile_top,
         jobs=jobs,
         traces=list(table.traces),

@@ -1,15 +1,15 @@
 """Per-campaign performance report (``perf-report.json``).
 
-:class:`PerfReportObserver` rides the existing
-:class:`~repro.results.CampaignObserver` chain (duck-typed — the campaign
-engine dispatches on method signatures, so this module needs no import from
-:mod:`repro.results`): the engine hands it the live
-:class:`~repro.platform.middleware.RunResult` of every freshly executed cell
-through the optional ``run=`` keyword, and the observer accumulates each
-cell's hot-path counters.  :class:`PerfReport` then combines that rollup
-with the profiling harness's wall-clock phase timers into one JSON artifact,
-and carries the run's cell traces and metric series (when instrumented) for
-the trace / metrics / Chrome exports.
+:func:`counter_rollup` reads a finished campaign's table — its records,
+``table.counters`` (one hot-path counter dict per executed cell, ``None``
+for cells recovered from a store), the sequential stopping engine's
+``stats.*`` counters on the record set's meta and the live runs in
+``table.outcomes`` — and returns the report's counter fields.
+:class:`PerfReport` combines that rollup with the profiling harness's
+wall-clock phase timers into one JSON artifact, and carries the run's cell
+traces and metric series (when instrumented) for the trace / metrics /
+Chrome exports.  The table is duck-typed, so this module needs no import
+from the campaign layer above it.
 
 Contract reminder: wall-clock fields (``phases``, ``wall_s_total``,
 throughput) exist *only* in this report.  Counters are deterministic, wall
@@ -20,83 +20,51 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .counters import merge_counters
 from .metrics import CellMetrics
 from .trace import CellTrace
 
-__all__ = ["PerfReportObserver", "PerfReport"]
+__all__ = ["counter_rollup", "PerfReport"]
 
 #: Schema tag of the JSON artifact (bump on incompatible layout changes).
 SCHEMA = "perf-report/v1"
 
 
-class PerfReportObserver:
-    """Collects per-cell counters as a campaign streams.
+def counter_rollup(table) -> Dict[str, object]:
+    """The counter fields of a :class:`PerfReport` for one campaign's table.
 
-    Attach through ``run_campaign(..., observers=[...])`` or
-    ``ExperimentConfig.observers``.  Cells recovered from a campaign store
-    arrive without a live run (``run=None``) and contribute no counters —
-    the report's ``cells_counted`` vs ``cells_total`` split makes that
-    visible instead of silently under-reporting.
+    Cells recovered from a campaign store never re-simulate, so they carry
+    no counters: the ``cells_counted`` vs ``cells_total`` split makes that
+    visible instead of silently under-reporting.  Campaign-level counters
+    (today the sequential stopping engine's ``stats.*`` family, published
+    under ``meta["sequential"]["counters"]``) are summed in with the
+    per-cell ones.
     """
-
-    def __init__(self) -> None:
-        self.experiment_id: Optional[str] = None
-        self.cells_total = 0
-        self.cells_counted = 0
-        self.cells_cached = 0
-        #: ``(cell tag, counters)`` per counted cell, in planned order.
-        self.per_cell: List[Tuple[str, Dict[str, int]]] = []
-        self.tasks_simulated = 0
-        self.truncated_cells = 0
-        #: Campaign-level counters harvested at ``on_campaign_end`` — today
-        #: the sequential stopping engine's ``stats.*`` family.
-        self.campaign_counters: Dict[str, int] = {}
-
-    # Campaign engine hooks (duck-typed CampaignObserver protocol). ------- #
-    def on_campaign_start(self, experiment_id: str, total_cells: int) -> None:
-        self.experiment_id = experiment_id
-        self.cells_total += total_cells
-
-    def on_cell_complete(
-        self, index: int, total: int, record, cached: bool = False, run=None
-    ) -> None:
-        if getattr(record, "truncated", False):
-            self.truncated_cells += 1
-        if cached or run is None:
-            self.cells_cached += 1
-            return
-        self.cells_counted += 1
-        tag = (
-            f"{record.heuristic}/m{record.metatask_index}/rep{record.repetition}"
+    records = list(table.result_set)
+    per_cell: List[Tuple[str, Dict[str, int]]] = [
+        (
+            f"{record.heuristic}/m{record.metatask_index}/rep{record.repetition}",
+            dict(counters),
         )
-        self.per_cell.append((tag, dict(run.counters)))
-        self.tasks_simulated += len(run.tasks)
-
-    def on_campaign_end(self, result_set) -> None:
-        """Harvest campaign-level counters off the final set's meta.
-
-        A sequential-stopping campaign publishes its ``stats.*`` counter
-        family (rounds run, cells planned, groups unresolved at stop) under
-        ``meta["sequential"]["counters"]``; fixed-repetition campaigns carry
-        none and this stays empty.
-        """
-        meta = getattr(result_set, "meta", None) or {}
-        sequential = meta.get("sequential") or {}
-        for key, value in (sequential.get("counters") or {}).items():
-            self.campaign_counters[key] = (
-                self.campaign_counters.get(key, 0) + int(value)
-            )
-
-    # Rollup. ------------------------------------------------------------- #
-    def counters(self) -> Dict[str, int]:
-        """Per-cell counters summed, plus campaign-level ones (sorted keys)."""
-        return merge_counters(
-            [counters for _, counters in self.per_cell]
-            + ([self.campaign_counters] if self.campaign_counters else [])
-        )
+        for record, counters in zip(records, table.counters)
+        if counters is not None
+    ]
+    sequential = table.result_set.meta.get("sequential") or {}
+    return {
+        "counters": merge_counters(
+            [counters for _, counters in per_cell] + [sequential.get("counters") or {}]
+        ),
+        "cells_total": len(records),
+        "cells_counted": len(per_cell),
+        "cells_cached": len(records) - len(per_cell),
+        "truncated_cells": sum(1 for record in records if record.truncated),
+        "tasks_simulated": sum(
+            len(run.tasks) for outcome in table.outcomes.values() for run in outcome.runs
+        ),
+        "per_cell": per_cell,
+    }
 
 
 @dataclass

@@ -34,7 +34,6 @@ from .spec import (
     MachineRole,
     MachineSpec,
     PlatformSpec,
-    paper_machine,
 )
 
 __all__ = [
@@ -64,5 +63,4 @@ __all__ = [
     "PlatformSpec",
     "PAPER_MACHINES",
     "DEFAULT_LINK",
-    "paper_machine",
 ]

@@ -527,6 +527,10 @@ class GridMiddleware:
 
         self._tasks = tasks
         self._expected = len(tasks)
+        if not tasks:
+            # Nothing will ever complete to end the run: stop it at t=0
+            # instead of stepping the monitors out to the safety horizon.
+            self.env.call_in(0.0, self._end_run)
         Client(self.env, client_name, tasks, submit=self.submit)
         if self.sampler is not None:
             self.env.call_in(0.0, self._sample_tick, priority=URGENT)

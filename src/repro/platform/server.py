@@ -178,10 +178,6 @@ class ComputeServer:
         """Whether the server registered the given problem."""
         return problem_name in self._problems
 
-    def problem_names(self) -> Set[str]:
-        """Names of the problems the server registered with the agent."""
-        return set(self._problems)
-
     def cpu_task_count(self) -> int:
         """Number of tasks currently in their computation phase."""
         self._advance(self.env.now)

@@ -21,7 +21,6 @@ __all__ = [
     "PlatformSpec",
     "PAPER_MACHINES",
     "DEFAULT_LINK",
-    "paper_machine",
 ]
 
 
@@ -140,14 +139,6 @@ PAPER_MACHINES: Dict[str, MachineSpec] = {
     ),
     "zanzibar": MachineSpec("zanzibar", "pentium III", 550.0, 256.0, 500.0, MachineRole.CLIENT),
 }
-
-
-def paper_machine(name: str) -> MachineSpec:
-    """Return the Table 2 spec of machine ``name``."""
-    try:
-        return PAPER_MACHINES[name]
-    except KeyError:
-        raise PlatformError(f"machine {name!r} is not part of the paper's testbed") from None
 
 
 @dataclass(frozen=True)

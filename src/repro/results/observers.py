@@ -28,11 +28,11 @@ __all__ = ["CampaignObserver", "ResultSetObserver", "ProgressObserver"]
 class CampaignObserver:
     """Base observer: every hook is a no-op — override what you need.
 
-    ``cached`` on :meth:`on_cell_complete` reports whether the cell was
-    recovered from an attached :class:`~repro.store.CampaignStore` journal
-    (``True``) or freshly simulated (``False``).  Observers overriding the
-    hook without the keyword keep working — the campaign engine inspects the
-    signature and omits the flag for them.
+    The campaign engine always calls
+    ``on_cell_complete(index, total, record, cached=cached)``: ``cached``
+    reports whether the cell was recovered from an attached
+    :class:`~repro.store.CampaignStore` journal (``True``) or freshly
+    simulated (``False``), so an override must accept the keyword.
     """
 
     def on_campaign_start(self, experiment_id: str, total_cells: int) -> None:

@@ -1,11 +1,10 @@
-"""Tests of Gantt charts, HTM records and the perturbation report."""
+"""Tests of Gantt charts and HTM records."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.gantt import GanttChart, GanttPhase, GanttRow, chart_from_states
-from repro.core.perturbation import CandidateSummary, PerturbationReport
 from repro.core.records import HtmPrediction, TracedTask
 from repro.simulation.fluid import FluidNetwork, FluidStage
 
@@ -94,9 +93,7 @@ class TestRecords:
         assert prediction.perturbation_of("a") == 5.0
         assert prediction.perturbation_of("missing") == 0.0
 
-
-class TestPerturbationReport:
-    def _predictions(self):
+    def _candidates(self):
         return {
             "fast": HtmPrediction(
                 server="fast", task_id="t", now=0.0, new_task_completion=20.0,
@@ -108,26 +105,13 @@ class TestPerturbationReport:
             ),
         }
 
-    def test_report_best_by_each_criterion(self):
-        report = PerturbationReport.from_predictions(self._predictions(), "t", 0.0)
-        assert report.best_by("new_task_completion").server == "fast"
-        assert report.best_by("sum_perturbation").server == "slow"
+    def test_candidates_rank_differently_under_each_criterion(self):
+        candidates = self._candidates().values()
+        assert min(candidates, key=lambda p: p.new_task_completion).server == "fast"
+        assert min(candidates, key=lambda p: p.sum_perturbation).server == "slow"
 
-    def test_rows_and_render(self):
-        report = PerturbationReport.from_predictions(self._predictions(), "t", 0.0)
-        rows = report.as_rows()
-        assert {r["server"] for r in rows} == {"fast", "slow"}
-        text = report.render()
-        assert "fast" in text and "slow" in text
-
-    def test_empty_report_best_by_raises(self):
-        report = PerturbationReport(task_id="t", now=0.0, candidates=())
-        with pytest.raises(ValueError):
-            report.best_by("new_task_completion")
-
-    def test_candidate_summary_from_prediction(self):
-        prediction = self._predictions()["fast"]
-        summary = CandidateSummary.from_prediction(prediction)
-        assert summary.server == "fast"
-        assert summary.sum_perturbation == pytest.approx(15.0)
-        assert summary.sum_flow_increase == pytest.approx(35.0)
+    def test_flow_increase_adds_own_flow_to_perturbation(self):
+        fast = self._candidates()["fast"]
+        assert fast.sum_perturbation == pytest.approx(15.0)
+        assert fast.predicted_flow == pytest.approx(20.0)
+        assert fast.sum_flow_increase == pytest.approx(35.0)

@@ -22,6 +22,8 @@ from repro.experiments import (
 )
 from repro.experiments.campaign import CellWork, execute_cell
 from repro.platform.middleware import MiddlewareConfig
+from repro.results import CampaignObserver
+from repro.store import CampaignStore
 from repro.workload.problems import PAPER_CATALOGUE
 from repro.workload.testbed import first_set_platform, matmul_metatask
 
@@ -184,13 +186,70 @@ class TestDeterminism:
         assert calls["n"] == 4
         assert set(table.columns) == {"mct", "hmct", "mp", "msf"}
 
-    def test_mismatched_executor_result_count_raises(self):
+    @pytest.mark.parametrize(
+        "executor",
+        [
+            lambda work_items: [execute_cell(work_items[0])],
+            lambda work_items: list(map(execute_cell, work_items)) * 2,
+        ],
+        ids=["too-few", "too-many"],
+    )
+    def test_mismatched_executor_result_count_raises(self, executor):
         config = tiny_config()
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ExperimentError, match="executor returned"):
             run_campaign(
                 "t", "t", first_set_platform(), [tiny_metatask()], config,
-                executor=lambda work_items: [],
+                executor=executor,
             )
+
+
+class _CellLog(CampaignObserver):
+    """Logs ``(index, cached)`` per cell.  ``on_cell_complete`` has exactly
+    the signature of the e2e benchmark's ``CellClock`` observer."""
+
+    def __init__(self):
+        self.cells = []
+
+    def on_cell_complete(self, index, total, record, cached=False) -> None:
+        self.cells.append((index, cached))
+
+
+class TestStreaming:
+    def test_generator_executor_streams_to_observers(self):
+        log = _CellLog()
+        seen_before = []
+
+        def generator_executor(work_items):
+            for work in work_items:
+                seen_before.append([index for index, _ in log.cells])
+                yield execute_cell(work)
+
+        run_campaign(
+            "t", "t", first_set_platform(), [tiny_metatask()], tiny_config(),
+            executor=generator_executor, observers=[log],
+        )
+        # Each cell reached the observer before the next one was executed.
+        assert seen_before == [[], [0], [0, 1], [0, 1, 2]]
+        assert log.cells == [(0, False), (1, False), (2, False), (3, False)]
+
+    def test_partly_warm_store_delivers_cells_in_planned_order(self, tmp_path):
+        platform, metatasks, config = first_set_platform(), [tiny_metatask()], tiny_config()
+        cold_store = CampaignStore(tmp_path / "cold")
+        cold = run_campaign("t", "t", platform, metatasks, config, store=cold_store)
+        # Journal cell 1 only: cell 0 (the reference) must execute, then the
+        # recovered cell 1 follows it, then the executed cells 2 and 3.
+        partial = CampaignStore(tmp_path / "partial")
+        cell_1 = plan_cells(config, metatask_count=1)[1]
+        for entry in cold_store.entries():
+            if entry.key.heuristic == cell_1.heuristic:
+                partial.put(entry)
+        log = _CellLog()
+        warm = run_campaign(
+            "t", "t", platform, metatasks, config, store=partial, observers=[log]
+        )
+        assert log.cells == [(0, False), (1, True), (2, False), (3, False)]
+        assert warm.cache_info == {"recovered": 1, "executed": 3}
+        assert warm.result_set.to_jsonl() == cold.result_set.to_jsonl()
 
 
 class TestComparisons:

@@ -1,12 +1,13 @@
-"""Tests of the perf-report observer, document schema and persistence."""
+"""Tests of the perf-report counter rollup, document schema and persistence."""
 
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from repro.obs import PerfReport, PerfReportObserver
+from repro.obs import PerfReport, counter_rollup
 
 
 class _Record:
@@ -18,30 +19,42 @@ class _Record:
 
 
 class _Run:
-    def __init__(self, counters, n_tasks):
-        self.counters = counters
+    def __init__(self, n_tasks):
         self.tasks = [object()] * n_tasks
 
 
-class TestPerfReportObserver:
+class _Records(list):
+    meta: dict = {}
+
+
+def _table(records, counters, runs):
+    """A duck-typed campaign table: records, per-cell counters, live runs."""
+    return SimpleNamespace(
+        result_set=_Records(records),
+        counters=counters,
+        outcomes={"mct": SimpleNamespace(runs=runs)},
+    )
+
+
+class TestCounterRollup:
     def test_counts_fresh_cells_and_merges_counters(self):
-        observer = PerfReportObserver()
-        observer.on_campaign_start("exp", 3)
-        observer.on_cell_complete(0, 3, _Record(), run=_Run({"a": 1, "b": 2}, 10))
-        observer.on_cell_complete(1, 3, _Record(repetition=1), run=_Run({"a": 5}, 10))
-        observer.on_cell_complete(2, 3, _Record(repetition=2), cached=True)
-        assert observer.cells_total == 3
-        assert observer.cells_counted == 2
-        assert observer.cells_cached == 1
-        assert observer.tasks_simulated == 20
-        assert observer.counters() == {"a": 6, "b": 2}
-        assert observer.per_cell[0][0] == "mct/m0/rep0"
+        rollup = counter_rollup(
+            _table(
+                [_Record(), _Record(repetition=1), _Record(repetition=2)],
+                [{"a": 1, "b": 2}, {"a": 5}, None],  # cell 2 came from the store
+                [_Run(10), _Run(10)],
+            )
+        )
+        assert rollup["cells_total"] == 3
+        assert rollup["cells_counted"] == 2
+        assert rollup["cells_cached"] == 1
+        assert rollup["tasks_simulated"] == 20
+        assert rollup["counters"] == {"a": 6, "b": 2}
+        assert rollup["per_cell"][0][0] == "mct/m0/rep0"
 
     def test_truncated_cells_are_flagged(self):
-        observer = PerfReportObserver()
-        observer.on_campaign_start("exp", 1)
-        observer.on_cell_complete(0, 1, _Record(truncated=True), run=_Run({}, 0))
-        assert observer.truncated_cells == 1
+        rollup = counter_rollup(_table([_Record(truncated=True)], [{}], [_Run(0)]))
+        assert rollup["truncated_cells"] == 1
 
 
 def _report(**overrides):

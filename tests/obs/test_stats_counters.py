@@ -7,7 +7,7 @@ import io
 import numpy as np
 
 from repro.experiments import ExperimentConfig, ExperimentScale, run_campaign
-from repro.obs import PerfReportObserver
+from repro.obs import counter_rollup
 from repro.results import ProgressObserver
 from repro.workload.testbed import first_set_platform, matmul_metatask
 
@@ -50,14 +50,13 @@ class TestSequentialCounters:
         table = run_campaign("fixed", "t", first_set_platform(), [_metatask()], config)
         assert "sequential" not in table.result_set.meta
 
-    def test_perf_report_observer_merges_them_into_its_rollup(self):
-        observer = PerfReportObserver()
-        run_campaign(
-            "seq", "t", first_set_platform(), [_metatask()], _sequential_config(),
-            observers=[observer],
+    def test_counter_rollup_merges_them_into_its_rollup(self):
+        table = run_campaign(
+            "seq", "t", first_set_platform(), [_metatask()], _sequential_config()
         )
-        counters = observer.counters()
-        assert counters["stats.rounds"] == observer.campaign_counters["stats.rounds"]
+        counters = counter_rollup(table)["counters"]
+        campaign_counters = table.result_set.meta["sequential"]["counters"]
+        assert counters["stats.rounds"] == campaign_counters["stats.rounds"]
         assert "stats.cells" in counters
         # Cell-level counters still roll up alongside the campaign-level ones.
         assert any(not key.startswith("stats.") for key in counters)

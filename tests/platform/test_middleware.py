@@ -224,6 +224,12 @@ class TestRunEnd:
         assert result.truncated
         assert seen == [5.0]
 
+    def test_empty_run_ends_at_time_zero(self, first_platform, quiet_config):
+        result = GridMiddleware(first_platform, "mct", config=quiet_config).run([])
+        assert result.duration == 0.0
+        assert result.truncated is False
+        assert result.tasks == []
+
 
 class TestHorizonTruncation:
     """Regression: when ``max_horizon_s`` fires, in-flight tasks must be

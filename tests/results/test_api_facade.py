@@ -134,7 +134,7 @@ class TestObservers:
             def on_campaign_start(self, experiment_id, total_cells):
                 self.started.append((experiment_id, total_cells))
 
-            def on_cell_complete(self, index, total, record):
+            def on_cell_complete(self, index, total, record, cached=False):
                 self.indices.append(index)
 
             def on_campaign_end(self, result_set):

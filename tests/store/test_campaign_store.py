@@ -214,17 +214,12 @@ class TestObserverIntegration:
         assert "(cached)" in output
         assert "0 computed" in output
 
-    def test_legacy_observer_signature_still_works(self, store):
+    def test_observer_without_cached_keyword_raises(self, store):
+        # Observers are always called as on_cell_complete(index, total, record,
+        # cached=...); an override that drops the keyword fails loudly.
         class LegacyObserver(CampaignObserver):
-            def __init__(self):
-                self.seen = 0
-
             def on_cell_complete(self, index, total, record):  # no `cached`
-                self.seen += 1
+                pass
 
-        legacy = LegacyObserver()
-        api.run("table5", config=_tiny_config(), store=store, observers=(legacy,))
-        first = legacy.seen
-        assert first > 0
-        api.run("table5", config=_tiny_config(), store=store, observers=(legacy,))
-        assert legacy.seen == 2 * first
+        with pytest.raises(TypeError, match="cached"):
+            api.run("table5", config=_tiny_config(), store=store, observers=(LegacyObserver(),))
