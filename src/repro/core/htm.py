@@ -145,6 +145,13 @@ class HistoricalTraceManager:
     off the top of the campaign profile even for traces carrying thousands
     of tasks (see ``bench_htm_predict_large_n_*`` in
     ``benchmarks/bench_micro.py``).
+
+    A prediction on a trace with no unfinished task skips the what-if runs
+    and the baseline cache: the new task would run alone, so its completion
+    is the closed form :meth:`~repro.simulation.fluid.FluidNetwork.lone_completion`,
+    bit-identical to the simulated answer, and the perturbation maps are
+    empty.  ``n_closed_form`` and ``n_whatif_runs`` count the two kinds of
+    prediction; they sum to ``n_predicts``.
     """
 
     def __init__(
@@ -163,6 +170,10 @@ class HistoricalTraceManager:
         # the zero-overhead-when-off guard on the hooks below.
         self.n_predicts = 0
         self.n_commits = 0
+        # Split of ``n_predicts``: lone tasks answered in closed form, and
+        # what-if simulations of a copied trace.
+        self.n_closed_form = 0
+        self.n_whatif_runs = 0
         self.tracer = None
 
     # ------------------------------------------------------------------ #
@@ -225,12 +236,46 @@ class HistoricalTraceManager:
 
         Returns the prediction used by the heuristics of Section 4: the
         completion date of the new task and the perturbation it inflicts on
-        every already-mapped, unfinished task of that server.
+        every already-mapped, unfinished task of that server.  A server with
+        no unfinished task has nothing to perturb, so the new task's
+        completion comes in closed form
+        (:meth:`~repro.simulation.fluid.FluidNetwork.lone_completion`)
+        instead of from a what-if simulation.
         """
         trace = self.trace(server)
         trace.network.advance_to(now)
         unfinished = set(trace.network.unfinished_keys())
+        # A key still in the network (a finished record) takes the simulated
+        # path, whose ``add_task`` rejects the duplicate.
+        if not unfinished and task.task_id not in trace.network:
+            prediction = HtmPrediction(
+                server=server,
+                task_id=task.task_id,
+                now=now,
+                new_task_completion=trace.network.lone_completion(
+                    self._stages_for(trace, task)
+                ),
+            )
+            self.n_closed_form += 1
+        else:
+            prediction = self._simulate_mapping(trace, task, now, unfinished)
+            self.n_whatif_runs += 1
+        self.n_predicts += 1
+        if self.tracer is not None:
+            self.tracer.emit(
+                now,
+                "htm.predict",
+                server=server,
+                task=task.task_id,
+                completion=prediction.new_task_completion,
+                tracked=len(unfinished),
+            )
+        return prediction
 
+    def _simulate_mapping(
+        self, trace: ServerTrace, task: Task, now: float, unfinished: set
+    ) -> HtmPrediction:
+        """The what-if runs of :meth:`predict`, without and with the new task."""
         if self.incremental_predictions:
             baseline = trace.free_run_completions()
         else:
@@ -245,28 +290,16 @@ class HistoricalTraceManager:
         completions_with = {
             str(k): v for k, v in completions_with_all.items() if k in unfinished
         }
-        new_completion = completions_with_all[task.task_id]
-
         perturbations = {
             task_id: completions_with[task_id] - completions_without[task_id]
             for task_id in completions_without
             if task_id in completions_with
         }
-        self.n_predicts += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                now,
-                "htm.predict",
-                server=server,
-                task=task.task_id,
-                completion=new_completion,
-                tracked=len(unfinished),
-            )
         return HtmPrediction(
-            server=server,
+            server=trace.server,
             task_id=task.task_id,
             now=now,
-            new_task_completion=new_completion,
+            new_task_completion=completions_with_all[task.task_id],
             completions_without=completions_without,
             completions_with=completions_with,
             perturbations=perturbations,

@@ -81,6 +81,8 @@ def middleware_counters(middleware) -> Dict[str, int]:
     if htm is not None:
         out["htm.predicts"] = htm.n_predicts
         out["htm.commits"] = htm.n_commits
+        out["htm.whatif.closed_form"] = htm.n_closed_form
+        out["htm.whatif.runs"] = htm.n_whatif_runs
         hits = misses = 0
         trace_networks = []
         for server in sorted(htm.servers()):

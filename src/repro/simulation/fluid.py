@@ -50,6 +50,16 @@ event (O(E·R·J) per run); ``copy()`` shares the immutable job records instead
 of cloning them.  The pre-virtual-time core is preserved verbatim in
 :mod:`repro.simulation.fluid_legacy` as the equivalence oracle for tests and
 A/B benchmarks.
+
+Per event, the loop pays two next-event scans: the one that finds the event
+and the one after stepping to it (``run_to_completion`` hands its scan to the
+stepping loop instead of letting ``advance_to`` repeat it).  A scan skips idle
+queues and, with no pending arrival, the arrival heap; stepping an idle queue
+only moves its clock, since a drained queue is always re-anchored.  A task
+added while no task is unfinished needs no simulation at all:
+:meth:`FluidNetwork.lone_completion` gives its completion date in closed form,
+with the same float operations as the simulated run — which is how the HTM
+answers a prediction on an empty server trace.
 """
 
 from __future__ import annotations
@@ -539,7 +549,9 @@ class FluidNetwork:
     def active_count(self, resource: Optional[str] = None) -> int:
         """Number of unfinished tasks, optionally restricted to one resource."""
         if resource is None:
-            return sum(1 for t in self._tasks.values() if not t.finished) + len(self._pending)
+            # Pending tasks are unfinished records already: ``_pending`` only
+            # indexes them, so adding its length would count them twice.
+            return sum(1 for t in self._tasks.values() if not t.finished)
         return len(self._queues[resource])
 
     def unfinished_keys(self) -> List[Hashable]:
@@ -642,11 +654,12 @@ class FluidNetwork:
 
     def next_event_time(self) -> float:
         """Earliest time of the next stage completion or pending arrival."""
-        t = self._next_arrival()
+        t = self._next_arrival() if self._arrival_heap else math.inf
         for queue in self._queues.values():
-            t_queue = queue.next_completion_time()
-            if t_queue < t:
-                t = t_queue
+            if queue._jobs:  # an idle queue has no completion to offer
+                t_queue = queue.next_completion_time()
+                if t_queue < t:
+                    t = t_queue
         return t
 
     def advance_to(self, now: float) -> List[FluidEvent]:
@@ -656,18 +669,19 @@ class FluidNetwork:
                 f"cannot advance network backwards (from {self._time} to {now})"
             )
         events: List[FluidEvent] = []
-        now = max(now, self._time)
+        self._advance_from(max(now, self._time), self.next_event_time(), events)
+        return events
+
+    def _advance_from(self, now: float, t_next: float, events: List[FluidEvent]) -> None:
+        """Step through every event due by ``now``; ``t_next`` is the next one."""
         guard = 0
-        while True:
-            t_next = self.next_event_time()
-            if t_next == math.inf or t_next > now + EPSILON:
-                break
+        while t_next != math.inf and t_next <= now + EPSILON:
             self._step_to(max(t_next, self._time), events)
             guard += 1
             if guard > 50_000_000:  # pragma: no cover - defensive
                 raise SimulationError("FluidNetwork.advance_to did not converge")
+            t_next = self.next_event_time()
         self._step_to(now, events)
-        return events
 
     def run_to_completion(self, horizon: float = math.inf) -> Dict[Hashable, float]:
         """Advance until every task has finished (or ``horizon`` is reached).
@@ -680,12 +694,35 @@ class FluidNetwork:
             t_next = self.next_event_time()
             if t_next == math.inf or t_next > horizon:
                 break
-            self.advance_to(t_next)
+            self._advance_from(max(t_next, self._time), t_next, [])
         return {
             key: state.completion_time
             for key, state in self._tasks.items()
             if state.completion_time is not None
         }
+
+    def lone_completion(self, stages: Sequence[FluidStage]) -> float:
+        """Completion date of a task added at the clock while none is unfinished.
+
+        Closed form of ``copy()`` + ``add_task(key, arrival=time, stages)`` +
+        ``run_to_completion()[key]``: alone in the network, the task crosses
+        each stage at the rate :meth:`ProcessorSharingQueue.rate` gives one
+        job, from the later of its previous stage's end and the queue's own
+        clock (which may sit up to ``EPSILON`` past the network clock).  The
+        float operations are those of the simulation, in the same order, so
+        the result is bit-identical.  Only valid with no unfinished task.
+        """
+        t = self._time
+        for stage in stages:
+            if stage.work > EPSILON:
+                queue = self._queues[stage.resource]
+                rate = queue._capacity
+                if queue._per_job_cap is not None:
+                    rate = min(rate, queue._per_job_cap)
+                if rate <= 0:
+                    return math.inf
+                t = max(t, queue._time) + stage.work / rate
+        return t
 
     # ------------------------------------------------------------------ #
     # internals
@@ -694,6 +731,16 @@ class FluidNetwork:
         """Advance every queue to ``target`` and process stage transitions."""
         completions: List[Tuple[float, Hashable, str]] = []
         for name, queue in self._queues.items():
+            if not queue._jobs:
+                # An idle queue has been re-anchored (``_vtime == 0``, empty
+                # heap), so advancing it only moves its clock.
+                if target < queue._time - 1e-6:
+                    raise SimulationError(
+                        f"cannot advance queue backwards (from {queue._time} to {target})"
+                    )
+                if target > queue._time:
+                    queue._time = target
+                continue
             for time, key in queue.advance_to(target):
                 completions.append((time, key, name))
         completions.sort(key=lambda item: item[0])

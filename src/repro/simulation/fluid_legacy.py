@@ -379,7 +379,7 @@ class FluidNetwork:
     def active_count(self, resource: Optional[str] = None) -> int:
         """Number of unfinished tasks, optionally restricted to one resource."""
         if resource is None:
-            return sum(1 for t in self._tasks.values() if not t.finished) + len(self._pending)
+            return sum(1 for t in self._tasks.values() if not t.finished)
         return len(self._queues[resource])
 
     def unfinished_keys(self) -> List[Hashable]:

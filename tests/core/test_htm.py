@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.htm import HistoricalTraceManager
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, SimulationError
+from repro.obs import Tracer
 from repro.workload.problems import PAPER_CATALOGUE, matmul_problem
 from repro.workload.tasks import Task
 
@@ -107,6 +108,51 @@ class TestPredictions:
         htm = make_htm()
         predictions = htm.predict_all(["artimon", "pulney"], task_of(1200, "t"), now=0.0)
         assert set(predictions) == {"artimon", "pulney"}
+
+
+class TestClosedFormPredictions:
+    """A trace with no unfinished task answers without a what-if simulation."""
+
+    def test_finished_trace_matches_the_simulated_path(self):
+        htm = make_htm()
+        htm.tracer = Tracer()
+        htm.commit("artimon", task_of(1800, "a"), now=0.0)
+        htm.commit("artimon", task_of(1200, "b"), now=5.0)
+        htm.advance_to(500.0)
+        assert htm.tracked_task_count("artimon") == 0
+        trace = htm.trace("artimon")
+        new = task_of(1500, "new")
+        simulated = htm._simulate_mapping(trace, new, 500.0, set())
+        cache = (trace.cache_hits, trace.cache_misses)
+
+        prediction = htm.predict("artimon", new, now=500.0)
+        assert prediction == simulated
+        assert prediction.new_task_completion > 500.0
+        assert prediction.completions_without == {}
+        assert prediction.completions_with == {}
+        assert prediction.perturbations == {}
+        assert (htm.n_predicts, htm.n_closed_form, htm.n_whatif_runs) == (1, 1, 0)
+        assert (trace.cache_hits, trace.cache_misses) == cache  # cache untouched
+        [event] = htm.tracer.events()
+        assert event.kind == "htm.predict"
+        assert dict(event.data)["tracked"] == 0
+        assert dict(event.data)["completion"] == prediction.new_task_completion
+
+    def test_loaded_trace_runs_the_simulation(self):
+        htm = make_htm()
+        htm.commit("artimon", task_of(1800, "a"), now=0.0)
+        htm.predict("artimon", task_of(1200, "new"), now=1.0)
+        htm.predict("pulney", task_of(1200, "new"), now=1.0)
+        assert (htm.n_predicts, htm.n_closed_form, htm.n_whatif_runs) == (2, 1, 1)
+
+    def test_key_of_a_finished_record_still_rejected(self):
+        htm = make_htm(resync_on_completion=False)
+        task = task_of(1200, "t1")
+        htm.commit("artimon", task, now=0.0)
+        htm.advance_to(100.0)
+        assert htm.tracked_task_count("artimon") == 0
+        with pytest.raises(SimulationError):
+            htm.predict("artimon", task, now=100.0)
 
 
 class TestCommitAndSync:

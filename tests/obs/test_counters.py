@@ -41,6 +41,12 @@ class TestMiddlewareCounters:
             counters["htm.baseline_cache_hits"] + counters["htm.baseline_cache_misses"]
             > 0
         )
+        # every prediction is either a closed-form lone task or a what-if run
+        assert (
+            counters["htm.whatif.closed_form"] + counters["htm.whatif.runs"]
+            == counters["htm.predicts"]
+        )
+        assert counters["htm.whatif.closed_form"] > 0
 
     def test_mct_has_no_htm_counters(
         self, first_platform, small_matmul_metatask, quiet_config

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.simulation import fluid_legacy
 from repro.simulation.fluid import FluidNetwork, FluidStage
 
 
@@ -157,6 +158,10 @@ class TestMutation:
         network.advance_to(10.0)
         with pytest.raises(SimulationError):
             network.advance_to(1.0)
+        with pytest.raises(SimulationError):
+            network.advance_to(10.0 - 2e-6)
+        network.advance_to(10.0 - 5e-7)  # within the tolerance: a no-op
+        assert network.time == 10.0
 
     def test_remove_then_readd_pending_key_uses_the_new_arrival(self):
         """Regression: a stale arrival-heap entry of a removed pending task
@@ -189,6 +194,48 @@ class TestEvents:
 
     def test_next_event_time_is_infinite_when_idle(self):
         assert make_network().next_event_time() == math.inf
+
+
+class TestIdleNetwork:
+    """An idle queue only moves its clock when the network advances."""
+
+    def test_idle_queue_keeps_its_own_backwards_check(self):
+        network = make_network()
+        network._queues["cpu"].advance_to(20.0)  # a queue clock ahead of the network
+        with pytest.raises(SimulationError):
+            network.advance_to(15.0)
+
+    def test_advance_moves_every_idle_queue_clock(self):
+        network = make_network(cpu_capacity=2.0, per_cpu_cap=1.0)
+        network.advance_to(7.5)
+        assert network.time == 7.5
+        assert {name: queue.time for name, queue in network._queues.items()} == {
+            "net_in": 7.5,
+            "cpu": 7.5,
+            "net_out": 7.5,
+        }
+        for index, resource in enumerate(network.resources):
+            network.add_task(index, arrival=7.5, stages=(FluidStage(resource, 1.25),))
+        assert network.run_to_completion() == {0: 8.75, 1: 8.75, 2: 8.75}
+
+
+class TestActiveCount:
+    def test_pending_task_counts_once(self):
+        network = make_network()
+        network.add_task("later", arrival=30.0, stages=three_phase(1.0, 2.0, 1.0))
+        assert network.unfinished_keys() == ["later"]
+        assert network.active_count() == 1
+        network.add_task("now", arrival=0.0, stages=three_phase(1.0, 2.0, 1.0))
+        assert network.active_count() == 2
+        assert network.active_count("net_in") == 1
+        network.run_to_completion()
+        assert network.active_count() == 0
+
+    def test_legacy_core_agrees(self):
+        network = fluid_legacy.FluidNetwork({"net_in": 1.0, "cpu": 1.0, "net_out": 1.0})
+        stages = [fluid_legacy.FluidStage(name, 1.0) for name in ("net_in", "cpu", "net_out")]
+        network.add_task("later", arrival=30.0, stages=stages)
+        assert network.active_count() == len(network.unfinished_keys()) == 1
 
 
 class TestProperties:

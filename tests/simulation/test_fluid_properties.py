@@ -280,3 +280,86 @@ class TestVersionCounter:
         assert network.version == before
         network.add_task("a", arrival=network.time, stages=(FluidStage("cpu", 1.0),))
         assert network.version == before + 1
+
+
+#: Stage works of an HTM-shaped task, zero included (skipped stages).
+stage_works = st.one_of(st.just(0.0), works)
+#: ``(arrival offset, (input, compute, output))`` of one earlier task.
+earlier_tasks = st.lists(
+    st.tuples(offsets, st.tuples(stage_works, stage_works, stage_works)), max_size=5
+)
+
+
+def htm_network(cpu_count: int) -> FluidNetwork:
+    """A server trace network as the HTM builds it."""
+    return FluidNetwork(
+        {"net_in": 1.0, "cpu": float(cpu_count), "net_out": 1.0}, per_job_caps={"cpu": 1.0}
+    )
+
+
+def task_stages(work_in, work_cpu, work_out, model_communication=True):
+    if not model_communication:
+        return (FluidStage("cpu", work_cpu),)
+    return (
+        FluidStage("net_in", work_in),
+        FluidStage("cpu", work_cpu),
+        FluidStage("net_out", work_out),
+    )
+
+
+class TestLoneCompletion:
+    """``lone_completion`` is the simulated answer for a task alone, bit for bit."""
+
+    @given(
+        cpu_count=st.integers(min_value=1, max_value=4),
+        earlier=earlier_tasks,
+        settle=st.one_of(
+            # just short of the last completion: it still lands, within
+            # EPSILON past the target, and leaves a queue clock past ``now``
+            st.floats(min_value=-0.9 * EPSILON, max_value=0.0),
+            st.floats(min_value=0.0, max_value=20.0),
+        ),
+        new=st.tuples(stage_works, stage_works, stage_works),
+        model_communication=st.booleans(),
+    )
+    # Two queues finish EPSILON/2 apart: the later one's clock ends past the
+    # network clock, and the new task's cpu stage must start from it.
+    @example(
+        cpu_count=1,
+        earlier=[(0.0, (1.0, 0.0, 0.0)), (0.0, (0.0, 1.0 + 0.5 * EPSILON, 0.0))],
+        settle=-0.5 * EPSILON,
+        new=(0.0, 2.0, 0.0),
+        model_communication=True,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_what_if_simulation(
+        self, cpu_count, earlier, settle, new, model_communication
+    ):
+        network = htm_network(cpu_count)
+        now = 0.0
+        for key, (offset, works_in) in enumerate(earlier):
+            now += offset
+            network.add_task(
+                key, arrival=now, stages=task_stages(*works_in, model_communication), now=now
+            )
+        last = max(network.copy().run_to_completion().values(), default=now)
+        network.advance_to(max(now, last + settle))
+        assert network.unfinished_keys() == []
+
+        stages = task_stages(*new, model_communication)
+        what_if = network.copy()
+        what_if.add_task("new", arrival=network.time, stages=stages)
+        assert network.lone_completion(stages) == what_if.run_to_completion()["new"]
+
+    def test_all_zero_work_completes_at_the_clock(self):
+        network = htm_network(2)
+        network.advance_to(3.0)
+        assert network.lone_completion(task_stages(0.0, 0.0, 0.0)) == 3.0
+
+    def test_zero_capacity_never_completes(self):
+        network = htm_network(1)
+        network.set_capacity("cpu", 0.0, now=0.0)
+        stages = task_stages(1.0, 2.0, 1.0)
+        assert network.lone_completion(stages) == math.inf
+        network.add_task("new", arrival=0.0, stages=stages)
+        assert "new" not in network.run_to_completion()
