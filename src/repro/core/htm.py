@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set
 
 from ..errors import SchedulingError
 from ..simulation.fluid import FluidNetwork, FluidStage
@@ -61,6 +61,11 @@ class ServerTrace:
     #: Baseline-cache behaviour counters (see :mod:`repro.obs.counters`).
     cache_hits: int = field(default=0, repr=False, compare=False)
     cache_misses: int = field(default=0, repr=False, compare=False)
+    #: ``_step_to`` passes of the discarded what-if copies (:meth:`what_if`).
+    whatif_steps: int = field(default=0, repr=False, compare=False)
+    #: Tasks reported complete while the HTM does not resync, forgotten by
+    #: :meth:`advance_to` once the trace's own model has finished them.
+    notified: Set[str] = field(default_factory=set, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.network is None:
@@ -68,6 +73,32 @@ class ServerTrace:
                 {"net_in": 1.0, "cpu": float(self.cpu_count), "net_out": 1.0},
                 per_job_caps={"cpu": 1.0},
             )
+
+    def advance_to(self, now: float) -> None:
+        """Advance the trace to ``now`` and forget the notified tasks it finished."""
+        network = self.network
+        network.advance_to(now)
+        if self.notified:
+            done = [
+                key for key in self.notified if key not in network or network.task(key).finished
+            ]
+            for key in done:
+                self.notified.discard(key)
+                network.forget(key)
+
+    def what_if(self, network: Optional[FluidNetwork] = None) -> Dict[object, float]:
+        """Run ``network`` (default: a copy of the trace) to completion.
+
+        ``network`` must be a copy of the trace, possibly with tasks added;
+        its stepping passes since the copy are added to :attr:`whatif_steps`
+        (0 for a network without a step counter, such as the legacy core's
+        that ``benchmarks/bench_micro.py`` swaps in).
+        """
+        if network is None:
+            network = self.network.copy()
+        completions = network.run_to_completion()
+        self.whatif_steps += getattr(network, "n_steps", 0) - getattr(self.network, "n_steps", 0)
+        return completions
 
     def unfinished_task_ids(self) -> List[str]:
         """Ids of the tasks the HTM believes are still running on the server."""
@@ -86,7 +117,7 @@ class ServerTrace:
         ``run_to_completion()`` per candidate.
         """
         if self._cached_completions is None or self._cache_version != self.network.version:
-            self._cached_completions = dict(self.network.copy().run_to_completion())
+            self._cached_completions = dict(self.what_if())
             self._cache_version = self.network.version
             self.cache_misses += 1
         else:
@@ -106,7 +137,7 @@ class ServerTrace:
         if incremental:
             completions = self.free_run_completions()
         else:
-            completions = self.network.copy().run_to_completion()
+            completions = self.what_if()
         return {
             str(key): value for key, value in completions.items() if key in unfinished
         }
@@ -123,7 +154,9 @@ class HistoricalTraceManager:
         reported as completed by the platform is removed from the trace at the
         *actual* completion date, re-anchoring the simulation.  When ``False``
         the HTM trusts its own simulation only — the ablation studied as the
-        paper's second "future work" item.
+        paper's second "future work" item.  A task reported complete then
+        stays in the trace until the model finishes it too, and is forgotten
+        at the next advance after that.
     model_communication:
         When ``False`` the input/output transfer phases are ignored by the
         trace (compute-only model) — used by an ablation benchmark.
@@ -243,7 +276,7 @@ class HistoricalTraceManager:
         instead of from a what-if simulation.
         """
         trace = self.trace(server)
-        trace.network.advance_to(now)
+        trace.advance_to(now)
         unfinished = set(trace.network.unfinished_keys())
         # A key still in the network (a finished record) takes the simulated
         # path, whose ``add_task`` rejects the duplicate.
@@ -279,14 +312,14 @@ class HistoricalTraceManager:
         if self.incremental_predictions:
             baseline = trace.free_run_completions()
         else:
-            baseline = trace.network.copy().run_to_completion()
+            baseline = trace.what_if()
         completions_without = {
             str(k): v for k, v in baseline.items() if k in unfinished
         }
 
         with_new = trace.network.copy()
         with_new.add_task(task.task_id, arrival=now, stages=self._stages_for(trace, task), now=now)
-        completions_with_all = with_new.run_to_completion()
+        completions_with_all = trace.what_if(with_new)
         completions_with = {
             str(k): v for k, v in completions_with_all.items() if k in unfinished
         }
@@ -342,8 +375,11 @@ class HistoricalTraceManager:
         if trace is None:
             return
         if not self.resync_on_completion:
+            # Advancing here would add a progress step to the model; the
+            # next advance forgets the task once the model has finished it.
+            trace.notified.add(task_id)
             return
-        trace.network.advance_to(at)
+        trace.advance_to(at)
         if task_id in trace.network:
             state = trace.network.task(task_id)
             if state.finished:
@@ -360,7 +396,7 @@ class HistoricalTraceManager:
         trace = self._traces.get(server)
         if trace is None:
             return
-        trace.network.advance_to(at)
+        trace.advance_to(at)
         if task_id in trace.network:
             state = trace.network.task(task_id)
             if state.finished:
@@ -373,7 +409,7 @@ class HistoricalTraceManager:
         trace = self._traces.get(server)
         if trace is None:
             return
-        trace.network.advance_to(at)
+        trace.advance_to(at)
         for task_id in list(trace.network.unfinished_keys()):
             trace.network.remove_task(task_id, at)
             self._placements.pop(str(task_id), None)
@@ -381,7 +417,7 @@ class HistoricalTraceManager:
     def advance_to(self, now: float) -> None:
         """Advance every server trace to date ``now``."""
         for trace in self._traces.values():
-            trace.network.advance_to(now)
+            trace.advance_to(now)
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -405,7 +441,8 @@ class HistoricalTraceManager:
 
         With ``until_completion`` (default) the chart shows the *predicted*
         full execution (a copy of the trace is run to completion first);
-        otherwise it shows only what has been simulated so far.
+        otherwise it shows only what has been simulated so far.  Tasks the
+        trace has forgotten (completed, and reported so) are not shown.
         """
         trace = self.trace(server)
         network = trace.network.copy()

@@ -83,15 +83,17 @@ def middleware_counters(middleware) -> Dict[str, int]:
         out["htm.commits"] = htm.n_commits
         out["htm.whatif.closed_form"] = htm.n_closed_form
         out["htm.whatif.runs"] = htm.n_whatif_runs
-        hits = misses = 0
+        hits = misses = whatif_steps = 0
         trace_networks = []
         for server in sorted(htm.servers()):
             trace = htm.trace(server)
             hits += trace.cache_hits
             misses += trace.cache_misses
+            whatif_steps += trace.whatif_steps
             trace_networks.append(trace.network)
         out["htm.baseline_cache_hits"] = hits
         out["htm.baseline_cache_misses"] = misses
+        out["htm.whatif.steps"] = whatif_steps
         out.update(
             _prefixed(
                 "htm.fluid.",

@@ -51,11 +51,15 @@ of cloning them.  The pre-virtual-time core is preserved verbatim in
 :mod:`repro.simulation.fluid_legacy` as the equivalence oracle for tests and
 A/B benchmarks.
 
-Per event, the loop pays two next-event scans: the one that finds the event
-and the one after stepping to it (``run_to_completion`` hands its scan to the
-stepping loop instead of letting ``advance_to`` repeat it).  A scan skips idle
-queues and, with no pending arrival, the arrival heap; stepping an idle queue
-only moves its clock, since a drained queue is always re-anchored.  A task
+Per event, the loop pays one next-event scan and one stepping pass.  The
+scan skips idle queues and, with no pending arrival, the arrival heap.  In
+the stepping pass only a queue with a completion due calls
+:meth:`ProcessorSharingQueue.advance_to`: an idle queue only moves its clock
+(a drained queue is always re-anchored) and a busy queue with nothing due
+takes one linear progress step inline.  A run to completion reuses the scan
+that ended each advance, because the closing pass to the advance's target
+runs only when it can move a float.  Each queue caches its per-job rate and
+recomputes it whenever its job count or capacity changes.  A task
 added while no task is unfinished needs no simulation at all:
 :meth:`FluidNetwork.lone_completion` gives its completion date in closed form,
 with the same float operations as the simulated run — which is how the HTM
@@ -140,6 +144,9 @@ class ProcessorSharingQueue:
         #: Cumulative per-job service V(t) since the queue's creation.
         self._vtime = 0.0
         self._jobs: Dict[Hashable, PSJob] = {}
+        #: Per-job rate, recomputed by :meth:`_update_rate` whenever the job
+        #: count or the capacity changes (``rate()`` reads it).
+        self._rate = 0.0
         #: Min-heap of ``(target, order, key)``; entries whose ``(key, order)``
         #: no longer matches ``_jobs`` are stale (lazy deletion).
         self._heap: List[Tuple[float, int, Hashable]] = []
@@ -190,14 +197,23 @@ class ProcessorSharingQueue:
         return sum(job.target - self._vtime for job in self._jobs.values())
 
     def rate(self) -> float:
-        """Progress rate currently enjoyed by each active job."""
+        """Progress rate currently enjoyed by each active job.
+
+        ``min(capacity / n, per_job_cap)`` with *n* active jobs, 0 when idle.
+        The value is cached: every mutation of the job count or the capacity
+        recomputes it, so reading it is one attribute load.
+        """
+        return self._rate
+
+    def _update_rate(self) -> None:
         n = len(self._jobs)
         if n == 0:
-            return 0.0
+            self._rate = 0.0
+            return
         rate = self._capacity / n
         if self._per_job_cap is not None:
             rate = min(rate, self._per_job_cap)
-        return rate
+        self._rate = rate
 
     def utilization(self) -> float:
         """Fraction of the capacity currently consumed (0.0 — 1.0).
@@ -226,6 +242,7 @@ class ProcessorSharingQueue:
         self.advance_to(now)
         job = PSJob(key, self._vtime + float(work), now, self._order)
         self._jobs[key] = job
+        self._update_rate()
         heapq.heappush(self._heap, (job.target, job.order, key))
         self._order += 1
         self.n_heap_pushes += 1
@@ -238,6 +255,7 @@ class ProcessorSharingQueue:
         """
         self.advance_to(now)
         job = self._jobs.pop(key)
+        self._update_rate()
         remaining = job.target - self._vtime
         if not self._jobs:
             self._reanchor()
@@ -259,6 +277,7 @@ class ProcessorSharingQueue:
             if per_job_cap is not None and per_job_cap <= 0:
                 raise ValueError("per_job_cap must be strictly positive (or None)")
             self._per_job_cap = float(per_job_cap) if per_job_cap is not None else None
+        self._update_rate()
 
     # ------------------------------------------------------------------ #
     # time evolution
@@ -282,7 +301,7 @@ class ProcessorSharingQueue:
         min_remaining = self._min_target() - self._vtime
         if min_remaining <= EPSILON:
             return self._time
-        rate = self.rate()
+        rate = self._rate
         if rate <= 0:
             return math.inf
         return self._time + min_remaining / rate
@@ -299,13 +318,21 @@ class ProcessorSharingQueue:
             raise SimulationError(
                 f"cannot advance queue backwards (from {self._time} to {now})"
             )
-        now = max(now, self._time)
+        if not self._jobs:
+            # An idle queue has been re-anchored (``_vtime == 0``, empty
+            # heap), so advancing it only moves its clock.
+            if now > self._time:
+                self._time = now
+            return []
+        if self._time > now:
+            now = self._time
+        limit = now + EPSILON
         completions: List[Tuple[float, Hashable]] = []
         while self._jobs:
             t_next = self.next_completion_time()
-            if t_next > now + EPSILON:
+            if t_next > limit:
                 break
-            self._progress(max(t_next, self._time))
+            self._progress(self._time if self._time > t_next else t_next)
             finished: List[PSJob] = []
             while True:
                 target = self._min_target()
@@ -315,9 +342,11 @@ class ProcessorSharingQueue:
                 finished.append(self._jobs.pop(key))
             if not finished:  # pragma: no cover - float safety net
                 break
+            self._update_rate()
             # Jobs finishing in the same instant are reported in insertion
             # order (their targets agree to within EPSILON but not exactly).
-            finished.sort(key=lambda j: j.order)
+            if len(finished) > 1:
+                finished.sort(key=lambda j: j.order)
             self.n_completions += len(finished)
             for job in finished:
                 completions.append((self._time, job.key))
@@ -342,10 +371,11 @@ class ProcessorSharingQueue:
     def _progress(self, target: float) -> None:
         """Advance the service function linearly from the current clock to ``target``."""
         dt = target - self._time
-        rate = self.rate()
-        if dt > 0 and self._jobs and rate > 0:
+        rate = self._rate
+        if dt > 0 and rate > 0:  # an idle queue's rate is 0
             self._vtime += dt * rate
-        self._time = max(self._time, target)
+        if target > self._time:
+            self._time = target
 
     # ------------------------------------------------------------------ #
     def copy(self) -> "ProcessorSharingQueue":
@@ -360,6 +390,7 @@ class ProcessorSharingQueue:
         clone._time = self._time
         clone._vtime = self._vtime
         clone._jobs = dict(self._jobs)
+        clone._rate = self._rate
         clone._heap = list(self._heap)
         clone._order = self._order
         clone.n_heap_pushes = self.n_heap_pushes
@@ -499,6 +530,7 @@ class FluidNetwork:
         # Hot-path work counters (rolled up by :mod:`repro.obs.counters`).
         self.n_stage_events = 0
         self.n_arrivals_activated = 0
+        self.n_steps = 0
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -672,16 +704,40 @@ class FluidNetwork:
         self._advance_from(max(now, self._time), self.next_event_time(), events)
         return events
 
-    def _advance_from(self, now: float, t_next: float, events: List[FluidEvent]) -> None:
-        """Step through every event due by ``now``; ``t_next`` is the next one."""
+    def _advance_from(
+        self, now: float, t_next: float, events: Optional[List[FluidEvent]]
+    ) -> Optional[float]:
+        """Step through every event due by ``now``; ``t_next`` is the next one.
+
+        Events go to ``events``, or nowhere when it is ``None`` (a run to
+        completion reads only the task states).
+
+        Returns the next event time when the last scan still holds, ``None``
+        when the closing pass to ``now`` changed the state.  That pass runs
+        only when it can move something: while the network clock is below
+        ``now``, or when a busy queue's clock already sits past ``now`` (a
+        completion landed within ``EPSILON`` after a step target), where it
+        completes any job due within ``EPSILON`` of that clock.  Otherwise
+        every queue is at ``now`` with nothing due by ``now + EPSILON``, no
+        arrival is due either, and the pass would move no float.
+        """
         guard = 0
-        while t_next != math.inf and t_next <= now + EPSILON:
-            self._step_to(max(t_next, self._time), events)
+        limit = now + EPSILON
+        while t_next != math.inf and t_next <= limit:
+            # ``max(t_next, clock)``, spelled out on the hot path.
+            self._step_to(self._time if self._time > t_next else t_next, events)
             guard += 1
             if guard > 50_000_000:  # pragma: no cover - defensive
                 raise SimulationError("FluidNetwork.advance_to did not converge")
             t_next = self.next_event_time()
-        self._step_to(now, events)
+        if self._time < now:
+            self._step_to(now, events)
+            return None
+        for queue in self._queues.values():
+            if queue._jobs and queue._time > now:
+                self._step_to(now, events)
+                return None
+        return t_next
 
     def run_to_completion(self, horizon: float = math.inf) -> Dict[Hashable, float]:
         """Advance until every task has finished (or ``horizon`` is reached).
@@ -690,11 +746,12 @@ class FluidNetwork:
         have finished.  Mainly used by the HTM on *copies* of the live network
         to answer "what if" questions.
         """
-        while True:
-            t_next = self.next_event_time()
-            if t_next == math.inf or t_next > horizon:
-                break
-            self._advance_from(max(t_next, self._time), t_next, [])
+        t_next = self.next_event_time()
+        while t_next != math.inf and t_next <= horizon:
+            clock = self._time
+            t_next = self._advance_from(clock if clock > t_next else t_next, t_next, None)
+            if t_next is None:
+                t_next = self.next_event_time()
         return {
             key: state.completion_time
             for key, state in self._tasks.items()
@@ -727,32 +784,51 @@ class FluidNetwork:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _step_to(self, target: float, events: List[FluidEvent]) -> None:
-        """Advance every queue to ``target`` and process stage transitions."""
+    def _step_to(self, target: float, events: Optional[List[FluidEvent]]) -> None:
+        """Advance every queue to ``target`` and process stage transitions.
+
+        Only a queue with a completion due by ``max(target, its clock) +
+        EPSILON`` goes through :meth:`ProcessorSharingQueue.advance_to`; any
+        other queue is stepped inline with the arithmetic of that method's
+        no-completion path (the backwards check, then one linear progress).
+        """
+        self.n_steps += 1
         completions: List[Tuple[float, Hashable, str]] = []
         for name, queue in self._queues.items():
+            clock = queue._time
+            if target < clock - 1e-6:
+                raise SimulationError(
+                    f"cannot advance queue backwards (from {clock} to {target})"
+                )
             if not queue._jobs:
                 # An idle queue has been re-anchored (``_vtime == 0``, empty
                 # heap), so advancing it only moves its clock.
-                if target < queue._time - 1e-6:
-                    raise SimulationError(
-                        f"cannot advance queue backwards (from {queue._time} to {target})"
-                    )
-                if target > queue._time:
+                if target > clock:
                     queue._time = target
+                continue
+            until = clock if clock > target else target
+            if queue.next_completion_time() > until + EPSILON:
+                dt = until - clock
+                rate = queue._rate
+                if dt > 0 and rate > 0:
+                    queue._vtime += dt * rate
+                queue._time = until
                 continue
             for time, key in queue.advance_to(target):
                 completions.append((time, key, name))
-        completions.sort(key=lambda item: item[0])
-        self._time = max(self._time, target)
+        if len(completions) > 1:
+            completions.sort(key=lambda item: item[0])
+        if target > self._time:
+            self._time = target
         self.n_stage_events += len(completions)
         for time, key, resource in completions:
             state = self._tasks[key]
             state.stage_finish_times.append(time)
             finished_task = state.stage_index + 1 >= len(state.stages)
-            events.append(
-                FluidEvent(time, key, state.stage_index, resource, task_finished=finished_task)
-            )
+            if events is not None:
+                events.append(
+                    FluidEvent(time, key, state.stage_index, resource, task_finished=finished_task)
+                )
             if finished_task:
                 state.completion_time = time
             else:
@@ -774,12 +850,16 @@ class FluidNetwork:
             state = self._tasks[key]
             self._start_task(state, max(state.arrival, self._time), events)
 
-    def _start_task(self, state: FluidTaskState, now: float, events: List[FluidEvent]) -> None:
+    def _start_task(
+        self, state: FluidTaskState, now: float, events: Optional[List[FluidEvent]]
+    ) -> None:
         state.stage_index = 0
         state.start_time = now
         self._enter_stage(state, now, events)
 
-    def _enter_stage(self, state: FluidTaskState, now: float, events: List[FluidEvent]) -> None:
+    def _enter_stage(
+        self, state: FluidTaskState, now: float, events: Optional[List[FluidEvent]]
+    ) -> None:
         """Put the task's current stage in service, skipping zero-work stages."""
         while state.stage_index < len(state.stages):
             stage = state.stages[state.stage_index]
@@ -790,9 +870,10 @@ class FluidNetwork:
             state.stage_finish_times.append(now)
             finished_task = state.stage_index == len(state.stages) - 1
             self.n_stage_events += 1
-            events.append(
-                FluidEvent(now, state.key, state.stage_index, stage.resource, finished_task)
-            )
+            if events is not None:
+                events.append(
+                    FluidEvent(now, state.key, state.stage_index, stage.resource, finished_task)
+                )
             if finished_task:
                 state.completion_time = now
                 return
@@ -811,6 +892,7 @@ class FluidNetwork:
         clone._version = self._version
         clone.n_stage_events = self.n_stage_events
         clone.n_arrivals_activated = self.n_arrivals_activated
+        clone.n_steps = self.n_steps
         return clone
 
     def counters(self) -> Dict[str, int]:
@@ -823,6 +905,7 @@ class FluidNetwork:
         out = {
             "stage_events": self.n_stage_events,
             "arrivals_activated": self.n_arrivals_activated,
+            "steps": self.n_steps,
             "heap_pushes": 0,
             "lazy_discards": 0,
             "completions": 0,

@@ -198,6 +198,31 @@ class TestCommitAndSync:
         assert htm.placement_of("slow") is None
         assert htm.tracked_task_count("artimon") == 1
 
+    def test_resync_disabled_forgets_a_task_once_the_model_finishes_it(self):
+        htm = make_htm(resync_on_completion=False)
+        htm.commit("artimon", task_of(1800, "slow"), now=0.0)
+        htm.notify_completion("slow", at=5.0)
+        network = htm.trace("artimon").network
+        assert network.time == 0.0  # the notification does not advance the model
+        htm.advance_to(10.0)
+        assert "slow" in network  # the model still runs it
+        htm.advance_to(1000.0)
+        assert "slow" not in network
+        assert htm.trace("artimon").notified == set()
+
+    def test_resync_disabled_notifications_leave_predictions_unchanged(self):
+        notified, silent = (make_htm(resync_on_completion=False) for _ in range(2))
+        for htm in (notified, silent):
+            htm.commit("artimon", task_of(1800, "a"), now=0.0)
+            htm.commit("artimon", task_of(1200, "b"), now=3.0)
+        notified.notify_completion("a", at=4.0)
+        notified.notify_completion("b", at=6.0)
+        for now in (7.0, 60.0, 400.0):
+            task = task_of(1500, f"new-{now}")
+            assert notified.predict("artimon", task, now) == silent.predict("artimon", task, now)
+        assert len(notified.trace("artimon").network.tasks()) == 0
+        assert len(silent.trace("artimon").network.tasks()) == 2
+
     def test_failure_notification_removes_running_task(self):
         htm = make_htm()
         htm.commit("artimon", task_of(1800, "t1"), now=0.0)

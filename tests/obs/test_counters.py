@@ -47,6 +47,10 @@ class TestMiddlewareCounters:
             == counters["htm.predicts"]
         )
         assert counters["htm.whatif.closed_form"] > 0
+        # stepping passes of the ground truth, the traces and the what-if copies
+        assert counters["fluid.steps"] > 0
+        assert counters["htm.fluid.steps"] > 0
+        assert counters["htm.whatif.steps"] > 0
 
     def test_mct_has_no_htm_counters(
         self, first_platform, small_matmul_metatask, quiet_config

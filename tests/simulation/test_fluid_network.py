@@ -219,6 +219,36 @@ class TestIdleNetwork:
         assert network.run_to_completion() == {0: 8.75, 1: 8.75, 2: 8.75}
 
 
+class TestClosingPass:
+    """``advance_to`` ends with a pass to its target only when it can move something."""
+
+    def test_job_due_within_epsilon_of_a_queue_clock_past_now_completes(self):
+        # "b" shares 4.0 between q1 and q2: q1 completes 0.5e-9 after the
+        # target, so b's clock ends past it, with q2 due 0.75e-9 later —
+        # within EPSILON of b's clock but not of the target.
+        network = FluidNetwork({"a": 1.0, "b": 4.0})
+        network.add_task("p", arrival=0.0, stages=(FluidStage("a", 1.0),))
+        network.add_task("q1", arrival=0.0, stages=(FluidStage("b", 2.0 + 1e-9),))
+        network.add_task("q2", arrival=0.0, stages=(FluidStage("b", 2.0 + 4e-9),))
+        events = network.advance_to(1.0)
+        assert [(event.key, event.time.hex()) for event in events] == [
+            ("p", "0x1.0000000000000p+0"),
+            ("q1", "0x1.0000000225c18p+0"),
+            ("q2", "0x1.000000055e63cp+0"),
+        ]
+        assert network.time == 1.0
+
+    def test_pass_is_skipped_when_nothing_can_move(self):
+        network = make_network()
+        network.add_task("a", arrival=0.0, stages=three_phase(1.0, 2.0, 1.0))
+        network.advance_to(0.5)  # the clock is below the target: one pass
+        assert network.counters()["steps"] == 1
+        assert network.advance_to(0.5) == []
+        assert network.counters()["steps"] == 1
+        assert network.run_to_completion() == {"a": 4.0}
+        assert network.counters()["steps"] == 4  # one pass per stage completion
+
+
 class TestActiveCount:
     def test_pending_task_counts_once(self):
         network = make_network()

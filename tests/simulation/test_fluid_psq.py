@@ -186,3 +186,52 @@ class TestProperties:
             for j in range(n):
                 if arrivals[i] == arrivals[j] and works[i] < works[j]:
                     assert completions[i] <= completions[j] + 1e-6
+
+
+class TestCachedRate:
+    """``rate()`` is cached; every mutation must leave it at its definition."""
+
+    @staticmethod
+    def expected_rate(queue: ProcessorSharingQueue) -> float:
+        if len(queue) == 0:
+            return 0.0
+        rate = queue.capacity / len(queue)
+        if queue.per_job_cap is not None:
+            rate = min(rate, queue.per_job_cap)
+        return rate
+
+    @given(
+        per_job_cap=st.one_of(st.none(), st.floats(min_value=0.25, max_value=2.0)),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "remove", "advance", "capacity", "cap", "copy"]),
+                st.floats(min_value=0.0, max_value=5.0),
+                st.floats(min_value=0.0, max_value=4.0),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rate_is_capacity_over_jobs_after_every_operation(self, per_job_cap, ops):
+        queue = ProcessorSharingQueue(capacity=2.0, per_job_cap=per_job_cap)
+        now = 0.0
+        next_key = 0
+        for op, dt, value in ops:
+            now += dt
+            if op == "add":
+                queue.add(next_key, value, now)
+                next_key += 1
+            elif op == "remove":
+                queue.advance_to(now)
+                keys = queue.active_keys()
+                if keys:
+                    queue.remove(keys[int(value) % len(keys)], now)
+            elif op == "advance":
+                queue.advance_to(now)
+            elif op == "capacity":
+                queue.set_capacity(value, now)
+            elif op == "cap":
+                queue.set_capacity(queue.capacity, now, per_job_cap=value or None)
+            else:
+                queue = queue.copy()
+            assert queue.rate() == self.expected_rate(queue)
